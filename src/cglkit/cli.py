@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -51,22 +52,26 @@ def build_parser():
         prog="cgl", description="Iterated Ore extension toolkit"
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in [
-        ("validate", "check the CGL extension axioms"),
-        ("y-elements", "compute the homogeneous prime elements"),
-        ("nakayama", "compute the Nakayama automorphism"),
-        ("verify-nakayama", "re-derive the Nakayama map from a normal element"),
-        ("core", "compute the frame/core decomposition"),
-        ("saturation", "test saturation of the commutation subgroups"),
-        ("center", "compute the monomial center of the torus-invariant part"),
-        ("rank", "rank of the character lattice of prime elements"),
+    # each command on a presentation names its handler, called as handler(P, args)
+    for name, helptext, handler in [
+        ("validate", "check the CGL extension axioms", cmd_validate),
+        ("y-elements", "compute the homogeneous prime elements", cmd_y_elements),
+        ("nakayama", "compute the Nakayama automorphism", cmd_nakayama),
+        ("verify-nakayama", "re-derive the Nakayama map from a normal element", cmd_verify_nakayama),
+        ("core", "compute the frame/core decomposition", cmd_core),
+        ("saturation", "test saturation of the commutation subgroups", cmd_saturation),
+        ("center", "compute the monomial center of the torus-invariant part", cmd_center),
+        ("rank", "rank of the character lattice of prime elements", cmd_rank),
     ]:
         sub = commands.add_parser(name, help=helptext)
+        sub.set_defaults(handler=handler)
         _presentation_args(sub)
     sub = commands.add_parser("audit-endo", help="audit a candidate endomorphism")
+    sub.set_defaults(handler=cmd_audit_endo)
     sub.add_argument("endo", help="endomorphism JSON file ({\"images\": [...]})")
     _presentation_args(sub)
     sub = commands.add_parser("centralizer", help="dimension of a centralizer eigenspace")
+    sub.set_defaults(handler=functools.partial(cmd_centralizer, parser=parser))
     sub.add_argument("gen", help="generator name, e.g. x2 or X12")
     sub.add_argument("s", type=int, help="eigenvalue exponent: v w = q^s w v")
     _presentation_args(sub)
@@ -262,28 +267,7 @@ def main(argv=None):
             code, payload = cmd_preset(args, parser)
         else:
             P = _load_presentation(args, parser)
-            if args.command == "validate":
-                code, payload = cmd_validate(P, args)
-            elif args.command == "y-elements":
-                code, payload = cmd_y_elements(P, args)
-            elif args.command == "nakayama":
-                code, payload = cmd_nakayama(P, args)
-            elif args.command == "verify-nakayama":
-                code, payload = cmd_verify_nakayama(P, args)
-            elif args.command == "core":
-                code, payload = cmd_core(P, args)
-            elif args.command == "saturation":
-                code, payload = cmd_saturation(P, args)
-            elif args.command == "center":
-                code, payload = cmd_center(P, args)
-            elif args.command == "rank":
-                code, payload = cmd_rank(P, args)
-            elif args.command == "audit-endo":
-                code, payload = cmd_audit_endo(P, args)
-            elif args.command == "centralizer":
-                code, payload = cmd_centralizer(P, args, parser)
-            else:
-                parser.error(f"unknown command {args.command!r}")
+            code, payload = args.handler(P, args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     except ParseError as exc:

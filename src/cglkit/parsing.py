@@ -92,7 +92,6 @@ class _Parser:
         return value
 
     def expr(self):
-        tok = self.peek()
         value = self.term()
         while True:
             tok = self.peek()
@@ -113,9 +112,12 @@ class _Parser:
             if tok.kind == "OP" and tok.text in "*/":
                 self.next()
                 rhs = self.factor()
-                value = value * rhs if tok.text == "*" else self.divide(value, rhs, tok)
+                if tok.text == "*":
+                    value = self.product(value, rhs, tok)
+                else:
+                    value = self.divide(value, rhs, tok)
             elif self._starts_primary(tok):
-                value = value * self.factor()
+                value = self.product(value, self.factor(), tok)
             else:
                 return value
 
@@ -161,6 +163,9 @@ class _Parser:
         self.fail("expected a number, name or parenthesized expression", tok)
 
     # hooks
+    def product(self, lhs, rhs, tok):
+        raise NotImplementedError
+
     def number(self, value):
         raise NotImplementedError
 
@@ -178,6 +183,9 @@ class _ScalarParser(_Parser):
     def __init__(self, src, space):
         super().__init__(src)
         self.space = space
+
+    def product(self, lhs, rhs, tok):
+        return lhs * rhs
 
     def number(self, value):
         return LaurentFraction.from_rational(self.space, value)
@@ -235,63 +243,28 @@ class _PolyParser(_Parser):
             return self._const(scalar**exponent)
         if exponent < 0:
             self.fail("generators only take nonnegative powers", tok)
-        if self.normalize:
-            return pbw.power(value, exponent, self.P)
         result = self._const(LaurentFraction.one(self.P.space))
         for _ in range(exponent):
-            result = self._raw_mul(result, value)
+            result = self.product(result, value, tok)
         return result
 
-    def term(self):
+    def product(self, lhs, rhs, tok):
         if self.normalize:
-            # redefine * through the rewriting engine
-            value = self.factor()
-            while True:
-                tok = self.peek()
-                if tok.kind == "OP" and tok.text in "*/":
-                    self.next()
-                    rhs = self.factor()
-                    if tok.text == "*":
-                        value = pbw.multiply(value, rhs, self.P)
-                    else:
-                        value = self.divide(value, rhs, tok)
-                elif self._starts_primary(tok):
-                    value = pbw.multiply(value, self.factor(), self.P)
-                else:
-                    return value
-        else:
-            value = self.factor()
-            while True:
-                tok = self.peek()
-                if tok.kind == "OP" and tok.text in "*/":
-                    self.next()
-                    rhs = self.factor()
-                    if tok.text == "*":
-                        value = self._raw_mul(value, rhs, tok)
-                    else:
-                        value = self.divide(value, rhs, tok)
-                elif self._starts_primary(tok):
-                    value = self._raw_mul(value, self.factor(), tok)
-                else:
-                    return value
+            return pbw.multiply(lhs, rhs, self.P)
+        return self._raw_mul(lhs, rhs, tok)
 
-    def _raw_mul(self, lhs, rhs, tok=None):
+    def _raw_mul(self, lhs, rhs, tok):
         # multiplication without rewriting: concatenated words must already
         # be in PBW order
-        out = pbw.PBWPolynomial.zero(self.P.space, self.P.N)
+        out = {}
         for m1, c1 in lhs.terms.items():
             hi = max((i for i, e in enumerate(m1) if e), default=-1)
             for m2, c2 in rhs.terms.items():
                 lo = min((i for i, e in enumerate(m2) if e), default=self.P.N)
                 if hi > lo:
-                    raise ParseError(
-                        "product is out of PBW order (raw mode)",
-                        self.src,
-                        tok.pos if tok else 0,
-                    )
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                out = out + pbw.PBWPolynomial(self.P.space, self.P.N, {mono: c1 * c2})
-        return out
+                    self.fail("product is out of PBW order (raw mode)", tok)
+                pbw._add_term(out, tuple(a + b for a, b in zip(m1, m2)), c1 * c2)
+        return pbw.PBWPolynomial(self.P.space, self.P.N, out)
 
 
 def parse_poly(src, P, normalize=True) -> pbw.PBWPolynomial:

@@ -18,13 +18,15 @@ x1..xN appear only in parsed/serialized text.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .errors import (
     DivergenceBudgetExceeded,
     NoGradingDefined,
     NotHomogeneous,
     ZeroElement,
 )
-from .scalars import LaurentFraction
+from .scalars import LaurentFraction, _power_product
 
 
 class PBWPolynomial:
@@ -113,11 +115,7 @@ class PBWPolynomial:
             return NotImplemented
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
-            s = out[mono] + coeff if mono in out else coeff
-            if s.is_zero:
-                out.pop(mono, None)
-            else:
-                out[mono] = s
+            _add_term(out, mono, coeff)
         return PBWPolynomial(self.space, self.N, out)
 
     __radd__ = __add__
@@ -148,9 +146,7 @@ class PBWPolynomial:
             if other.N != self.N or other.space != self.space:
                 raise ValueError("mixed presentations")
             return other
-        if isinstance(other, (int,)) or type(other).__name__ == "Fraction":
-            return PBWPolynomial.constant(self.space, self.N, other)
-        if isinstance(other, LaurentFraction):
+        if isinstance(other, (int, Fraction, LaurentFraction)):
             return PBWPolynomial.constant(self.space, self.N, other)
         return NotImplemented
 
@@ -171,6 +167,16 @@ class PBWPolynomial:
 
     def __repr__(self):
         return f"<PBWPolynomial {self}>"
+
+
+def _add_term(out, mono, coeff):
+    """Add coeff to the term dict entry out[mono], dropping it when the sum is 0."""
+    if mono in out:
+        coeff = out[mono] + coeff
+    if coeff.is_zero:
+        out.pop(mono, None)
+    else:
+        out[mono] = coeff
 
 
 # -- words --
@@ -227,12 +233,7 @@ def normalize_words(P, items, order_positions=None, strategy="leftmost", fuel=No
         coeff, word = stack.pop()
         idx = _find_descent(word, pos, strategy)
         if idx is None:
-            mono = monomial_of_word(word, P.N, pos)
-            s = out[mono] + coeff if mono in out else coeff
-            if s.is_zero:
-                out.pop(mono, None)
-            else:
-                out[mono] = s
+            _add_term(out, monomial_of_word(word, P.N, pos), coeff)
             continue
         fuel -= 1
         if fuel < 0:
@@ -272,7 +273,7 @@ def multiply(p, r, P, strategy="leftmost"):
     """Product p * r in PBW form.  Monomial pair products are memoized on P."""
     p = _as_poly(p, P)
     r = _as_poly(r, P)
-    result = PBWPolynomial.zero(P.space, P.N)
+    out = {}
     one = LaurentFraction.one(P.space)
     cache = P.pair_cache if strategy == "leftmost" else None
     for m1, c1 in p.terms.items():
@@ -284,8 +285,10 @@ def multiply(p, r, P, strategy="leftmost"):
                 prod = normalize_words(P, [(one, word)], strategy=strategy)
                 if cache is not None:
                     cache[key] = prod
-            result = result + prod.scale(c1 * c2)
-    return result
+            scalar = c1 * c2
+            for mono, c in prod.terms.items():
+                _add_term(out, mono, c * scalar)
+    return PBWPolynomial(P.space, P.N, out)
 
 
 def power(p, k, P):
@@ -343,6 +346,14 @@ def homogeneous_character(p, P):
         return None
 
 
+def _scale_diagonally(p, values):
+    """Image of p under the diagonal map x_i -> values[i] x_i (SignedMonomials)."""
+    out = {}
+    for mono, coeff in p.terms.items():
+        out[mono] = coeff * _power_product(p.space, values, mono).to_fraction()
+    return PBWPolynomial(p.space, p.N, out)
+
+
 def monomial_degree(P, mono):
     degs = P.generator_degrees()
     if degs is None:
@@ -380,7 +391,7 @@ def apply_endomorphism(images, p, P):
     p = _as_poly(p, P)
     if len(images) != P.N:
         raise ValueError("need exactly one image per generator")
-    result = PBWPolynomial.zero(P.space, P.N)
+    out = {}
     pow_cache = {}
     for mono, coeff in p.terms.items():
         factor = PBWPolynomial.constant(P.space, P.N, coeff)
@@ -395,5 +406,6 @@ def apply_endomorphism(images, p, P):
                 else:
                     pow_cache[key] = power(images[i], e, P)
             factor = multiply(factor, pow_cache[key], P)
-        result = result + factor
-    return result
+        for m, c in factor.terms.items():
+            _add_term(out, m, c)
+    return PBWPolynomial(P.space, P.N, out)

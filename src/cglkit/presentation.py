@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import pbw
 from .errors import (
@@ -30,7 +30,7 @@ from .errors import (
 )
 from .pbw import PBWPolynomial
 from .reporting import ValidationReport
-from .scalars import LaurentFraction, ParameterSpace, SignedMonomial
+from .scalars import LaurentFraction, ParameterSpace, SignedMonomial, _power_product
 
 _GEN_RE = re.compile(r"x([1-9][0-9]*)\Z")
 
@@ -50,11 +50,7 @@ class TorusData:
         space = element[0].space if element else None
         if space is None:
             raise ValueError("rank-0 torus has no eigenvalues")
-        out = SignedMonomial.one(space)
-        for a, e in enumerate(char):
-            if e:
-                out = out * element[a] ** e
-        return out
+        return _power_product(space, element, char)
 
 
 class CGLPresentation:
@@ -205,14 +201,7 @@ class CGLPresentation:
 
     def sigma(self, k, p) -> PBWPolynomial:
         """sigma_k = (h_k .) restricted to PBW polynomials (scales monomials)."""
-        out = {}
-        for mono, coeff in p.terms.items():
-            factor = SignedMonomial.one(self.space)
-            for i, e in enumerate(mono):
-                if e:
-                    factor = factor * self.lam[k][i] ** e
-            out[mono] = coeff * factor.to_fraction()
-        return PBWPolynomial(self.space, self.N, out)
+        return pbw._scale_diagonally(p, self.lam[k])
 
     def delta(self, k, p) -> PBWPolynomial:
         """delta_k(p) = x_k p - sigma_k(p) x_k for p supported below k."""
@@ -284,12 +273,19 @@ class CGLPresentation:
         try:
             names = tuple(data["params"])
             N = int(data["N"])
-            lam_rows = data["lambda"]
-            q_obj = data.get("Q", {})
+            lam_rows = [list(row) for row in data["lambda"]]
+            q_items = list(data.get("Q", {}).items())
             torus_obj = data["torus"]
-        except (KeyError, TypeError) as exc:
+            rank = int(torus_obj["rank"])
+            chi = [tuple(int(c) for c in row) for row in torus_obj["chi"]]
+            h_rows = [list(row) for row in torus_obj["h"]]
+            h_star_rows = None
+            if "h_star" in torus_obj:
+                h_star_rows = [list(row) for row in torus_obj["h_star"]]
+            pi = tuple(int(v) for v in torus_obj["pi"]) if "pi" in torus_obj else None
+            space = ParameterSpace(names)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise MalformedPresentation(f"missing or malformed field: {exc}") from exc
-        space = ParameterSpace(names)
         if len(lam_rows) != N or any(len(r) != N for r in lam_rows):
             raise MalformedPresentation(f"lambda must be {N}x{N}")
 
@@ -316,20 +312,17 @@ class CGLPresentation:
                         f"lambda[{j + 1}][{k + 1}]"
                     )
 
-        rank = int(torus_obj["rank"])
-        chi = [tuple(int(c) for c in row) for row in torus_obj["chi"]]
-        h = [tuple(scalar_mono(v) for v in row) for row in torus_obj["h"]]
+        h = [tuple(scalar_mono(v) for v in row) for row in h_rows]
         h_star = None
-        if "h_star" in torus_obj:
-            h_star = [tuple(scalar_mono(v) for v in row) for row in torus_obj["h_star"]]
-        pi = tuple(int(v) for v in torus_obj["pi"]) if "pi" in torus_obj else None
+        if h_star_rows is not None:
+            h_star = [tuple(scalar_mono(v) for v in row) for row in h_star_rows]
         torus = TorusData(rank=rank, chi=chi, h=h, h_star=h_star, pi=pi)
 
         shell = cls.build(
             space, N, lower, {}, torus, name=data.get("name") or None, fuel_factor=fuel_factor
         )
         Q = {}
-        for key, text in q_obj.items():
+        for key, text in q_items:
             try:
                 k_s, j_s = key.split(",")
                 k, j = int(k_s) - 1, int(j_s) - 1
@@ -494,10 +487,7 @@ def validate_symmetric(P: CGLPresentation) -> ValidationReport:
     if P.torus.h_star is None:
         raise MissingHStar("presentation carries no h*-data")
     report = ValidationReport(subject=f"symmetric conditions for {P.name or 'presentation'}")
-    bad_support = []
-    for (k, j), poly in P.Q.items():
-        if any(i <= j or i >= k for i in poly.support()):
-            bad_support.append((k + 1, j + 1))
+    bad_support = [(k + 1, j + 1) for k, j in _q_not_between(P)]
     report.add(
         "Q supported strictly between j and k",
         not bad_support,
@@ -523,6 +513,21 @@ def validate_symmetric(P: CGLPresentation) -> ValidationReport:
         "" if not bad_root else f"failing j {bad_root}",
     )
     return report
+
+
+def _q_not_between(P: CGLPresentation):
+    """Yield each (k, j) whose Q_{kj} is not supported strictly between x_j and x_k."""
+    for (k, j), poly in P.Q.items():
+        if any(i <= j or i >= k for i in poly.support()):
+            yield k, j
+
+
+def _require_reversible(P: CGLPresentation):
+    """Raise NotReversible unless every Q_{kj} lies strictly between x_j and x_k."""
+    for k, j in _q_not_between(P):
+        raise NotReversible(
+            f"Q[{k + 1},{j + 1}] is not supported strictly between the endpoints"
+        )
 
 
 def is_symmetric(P: CGLPresentation) -> bool:
@@ -594,18 +599,39 @@ def sample_interval_permutation(N, rng):
     return tau
 
 
-def _convert_to_order(P, poly, positions):
-    """Re-express a PBW polynomial in the permuted generator order.
+def _reorder(P: CGLPresentation, tau, h, h_star, name) -> CGLPresentation:
+    """The algebra of P presented on x_{tau(0)}, x_{tau(1)}, ...
 
-    positions[g] is the new slot of old generator g; rewriting uses only the
-    original presentation's pair data (via qhat), so no permuted data is
-    needed.  Exponent slots of the result are indexed by new position.
+    lambda and chi are permuted; Q-data is recomputed by normalizing
+    Qhat_{tau(a) tau(b)} into the new generator order.  Rewriting uses only
+    P's own pair data (via qhat), so no permuted data is needed.  The caller
+    supplies the covering families h and h_star in the new order.
     """
-    one = LaurentFraction.one(P.space)
-    items = []
-    for mono, coeff in poly.terms.items():
-        items.append((coeff * one, pbw.word_of_monomial(mono)))
-    return pbw.normalize_words(P, items, order_positions=positions)
+    N = P.N
+    positions = [0] * N
+    for a, g in enumerate(tau):
+        positions[g] = a
+    lower = {(a, b): P.lam[tau[a]][tau[b]] for a in range(N) for b in range(a)}
+    torus = TorusData(
+        rank=P.torus.rank,
+        chi=[P.torus.chi[g] for g in tau],
+        h=h,
+        h_star=h_star,
+        pi=P.torus.pi,
+    )
+    Q = {}
+    for a in range(N):
+        for b in range(a):
+            qhat = P.qhat(tau[a], tau[b])
+            if qhat is None:
+                continue
+            items = [(c, pbw.word_of_monomial(m)) for m, c in qhat.terms.items()]
+            converted = pbw.normalize_words(P, items, order_positions=positions)
+            if not converted.is_zero:
+                Q[(a, b)] = converted
+    return CGLPresentation.build(
+        P.space, N, lower, Q, torus, name=name, fuel_factor=P.fuel_factor
+    )
 
 
 def permute_presentation(P: CGLPresentation, tau) -> CGLPresentation:
@@ -620,50 +646,19 @@ def permute_presentation(P: CGLPresentation, tau) -> CGLPresentation:
     tau = list(tau)
     if len(tau) != P.N or not is_interval_permutation(tau):
         raise NotInXi(f"{tau} does not have interval prefixes")
-    N = P.N
-    positions = [0] * N
-    for a, g in enumerate(tau):
-        positions[g] = a
-    lower = {}
-    for a in range(N):
-        for b in range(a):
-            lower[(a, b)] = P.lam[tau[a]][tau[b]]
-    new_h = []
-    hi = lo = tau[0]
-    new_h.append(P.torus.h[tau[0]])
-    for a in range(1, N):
+    new_h = [P.torus.h[tau[0]]]
+    hi = tau[0]
+    for a in range(1, P.N):
         g = tau[a]
         if g == hi + 1:
             hi = g
             new_h.append(P.torus.h[g])
+        elif P.torus.h_star is None:
+            raise MissingHStar(f"descending step at position {a + 1} needs h*-data")
         else:
-            lo = g
-            if P.torus.h_star is None:
-                raise MissingHStar(
-                    f"descending step at position {a + 1} needs h*-data"
-                )
             new_h.append(P.torus.h_star[g])
-    torus = TorusData(
-        rank=P.torus.rank,
-        chi=[P.torus.chi[g] for g in tau],
-        h=new_h,
-        h_star=(P.torus.h_star if tau == sorted(tau) else None),
-        pi=P.torus.pi,
-    )
-    Q = {}
-    for a in range(N):
-        for b in range(a):
-            qhat = P.qhat(tau[a], tau[b])
-            if qhat is None:
-                continue
-            converted = _convert_to_order(P, qhat, positions)
-            if not converted.is_zero:
-                Q[(a, b)] = converted
-    name = f"{P.name}^tau" if P.name else None
-    out = CGLPresentation.build(
-        P.space, N, lower, Q, torus, name=name, fuel_factor=P.fuel_factor
-    )
-    return out
+    h_star = P.torus.h_star if tau == sorted(tau) else None
+    return _reorder(P, tau, new_h, h_star, f"{P.name}^tau" if P.name else None)
 
 
 def reverse_presentation(P: CGLPresentation) -> CGLPresentation:
@@ -673,41 +668,11 @@ def reverse_presentation(P: CGLPresentation) -> CGLPresentation:
     (NotReversible otherwise) and an h*-family (MissingHStar), which becomes
     the h-family of the reversed presentation while h turns into its h*.
     """
-    for (k, j), poly in P.Q.items():
-        if any(i <= j or i >= k for i in poly.support()):
-            raise NotReversible(
-                f"Q[{k + 1},{j + 1}] is not supported strictly between the endpoints"
-            )
+    _require_reversible(P)
     if P.torus.h_star is None:
         raise MissingHStar("reversal needs h*-data for the reversed covering torus")
-    N = P.N
-    tau = list(reversed(range(N)))
-    positions = [0] * N
-    for a, g in enumerate(tau):
-        positions[g] = a
-    lower = {}
-    for a in range(N):
-        for b in range(a):
-            lower[(a, b)] = P.lam[tau[a]][tau[b]]
-    torus = TorusData(
-        rank=P.torus.rank,
-        chi=[P.torus.chi[g] for g in tau],
-        h=[P.torus.h_star[g] for g in tau],
-        h_star=[P.torus.h[g] for g in tau],
-        pi=P.torus.pi,
-    )
-    Q = {}
-    for a in range(N):
-        for b in range(a):
-            qhat = P.qhat(tau[a], tau[b])
-            if qhat is None:
-                continue
-            converted = _convert_to_order(P, qhat, positions)
-            if not converted.is_zero:
-                Q[(a, b)] = converted
+    tau = list(reversed(range(P.N)))
     name = None
     if P.name:
         name = P.name[:-4] if P.name.endswith("^rev") else P.name + "^rev"
-    return CGLPresentation.build(
-        P.space, N, lower, Q, torus, name=name, fuel_factor=P.fuel_factor
-    )
+    return _reorder(P, tau, [P.torus.h_star[g] for g in tau], [P.torus.h[g] for g in tau], name)

@@ -14,6 +14,7 @@ represented by None.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 
 from . import pbw
 from .errors import (
@@ -57,9 +58,6 @@ class EtaData:
         return [k for k, s in enumerate(self.succ) if s is None]
 
     def to_json_dict(self):
-        def render(values):
-            return [v + 1 if isinstance(v, int) else v for v in values]
-
         return {
             "eta": list(self.eta),
             "pred": [("-inf" if v is None else v + 1) for v in self.pred],
@@ -171,17 +169,17 @@ def monomials_of_degree(P, d, top=None):
 def _solve_membership(P, columns, target):
     """Coefficients c with sum(c_t * columns[t]) = target, or None.
 
-    columns and target are PBW polynomials; the system is solved exactly over
-    the scalar field.  Returns (coefficients, unique) where unique is False
-    when the solution space is positive-dimensional.
+    columns and target are term dicts (monomial -> scalar); the system is
+    solved exactly over the scalar field.  Returns (coefficients, unique)
+    where unique is False when the solution space is positive-dimensional.
     """
-    monos = set(target.terms)
+    monos = set(target)
     for col in columns:
-        monos |= set(col.terms)
+        monos |= set(col)
     monos = sorted(monos)
     zero = LaurentFraction.zero(P.space)
-    rows = [[col.terms.get(m, zero) for col in columns] for m in monos]
-    rhs = [target.terms.get(m, zero) for m in monos]
+    rows = [[col.get(m, zero) for col in columns] for m in monos]
+    rhs = [target.get(m, zero) for m in monos]
     solved = solve_affine(rows, rhs, P.space)
     if solved is None:
         return None
@@ -204,20 +202,18 @@ def _solve_predecessor(P, y_j, chain_j, k, target_chi):
     columns = [PBWPolynomial(P.space, P.N, {m: 1}) for m in basis]
     lhs_rows = []
     col_rows = [[] for _ in columns]
+    one = SignedMonomial.one(P.space)
     for i in range(k + 1):
-        gamma = SignedMonomial.one(P.space)
-        for c in chain:
-            gamma = gamma * P.lam[c][i]
-        gamma_frac = gamma.to_fraction()
+        gamma_frac = prod((P.lam[c][i] for c in chain), start=one).to_fraction()
         xi = P.x(i)
         lhs_rows.append(P.mul(lead, xi) - P.mul(xi, lead).scale(gamma_frac))
         for t, col in enumerate(columns):
             col_rows[t].append(P.mul(col, xi) - P.mul(xi, col).scale(gamma_frac))
     # stack the per-generator conditions into one linear system
-    stacked_target = _stack(P, lhs_rows)
-    stacked_cols = [_stack(P, rows) for rows in col_rows]
+    stacked_target = _stack(lhs_rows)
+    stacked_cols = [_stack(rows) for rows in col_rows]
     if not columns:
-        return PBWPolynomial.zero(P.space, P.N) if stacked_target.is_zero else None
+        return None if stacked_target else PBWPolynomial.zero(P.space, P.N)
     solved = _solve_membership(P, stacked_cols, stacked_target)
     if solved is None:
         return None
@@ -230,31 +226,17 @@ def _solve_predecessor(P, y_j, chain_j, k, target_chi):
     return PBWPolynomial(P.space, P.N, terms)
 
 
-def _stack(P, polys):
-    """Pack a list of polynomials into one by shifting monomials to disjoint slots.
+def _stack(polys):
+    """Pack a list of polynomials into one term dict with disjoint monomials.
 
     Implemented by tagging each monomial with its list position; equality of
-    the stacked object is equivalent to simultaneous equality of the parts.
+    the stacked dict is equivalent to simultaneous equality of the parts.
     """
     terms = {}
     for pos, poly in enumerate(polys):
         for mono, coeff in poly.terms.items():
             terms[(pos,) + mono] = coeff
-    return _Stacked(terms, P)
-
-
-class _Stacked:
-    """Minimal polynomial-like wrapper used only by the linear solver."""
-
-    __slots__ = ("terms", "space")
-
-    def __init__(self, terms, P):
-        self.terms = terms
-        self.space = P.space
-
-    @property
-    def is_zero(self):
-        return not self.terms
+    return terms
 
 
 def compute_y_elements(P) -> YElementTable:
@@ -325,21 +307,17 @@ def compute_y_elements(P) -> YElementTable:
 
     chains = [eta_data.chain(k) for k in range(N)]
     one = SignedMonomial.one(P.space)
-    alpha = [[one for _ in range(N)] for _ in range(N)]
-    qmat = [[one for _ in range(N)] for _ in range(N)]
-    for j in range(N):
-        for k in range(N):
-            value = one
-            for c in chains[k]:
-                value = value * P.lam[j][c]
-            alpha[j][k] = value
-    for k in range(N):
-        for j in range(N):
-            value = one
-            for u in chains[k]:
-                for v in chains[j]:
-                    value = value * P.lam[u][v]
-            qmat[k][j] = value
+    alpha = [
+        [prod((P.lam[j][c] for c in chains[k]), start=one) for k in range(N)]
+        for j in range(N)
+    ]
+    qmat = [
+        [
+            prod((P.lam[u][v] for u in chains[k] for v in chains[j]), start=one)
+            for j in range(N)
+        ]
+        for k in range(N)
+    ]
 
     table = YElementTable(
         y=y, c=c_map, alpha=alpha, qmat=qmat, eta_data=eta_data, characters=y_chi
@@ -521,8 +499,8 @@ def _divide_in_span(P, left, target, basis):
     """Solve left * b = target with b in the span of the basis monomials."""
     if not basis:
         return None
-    columns = [P.mul(left, PBWPolynomial(P.space, P.N, {m: 1})) for m in basis]
-    solved = _solve_membership(P, columns, target)
+    columns = [P.mul(left, PBWPolynomial(P.space, P.N, {m: 1})).terms for m in basis]
+    solved = _solve_membership(P, columns, target.terms)
     if solved is None:
         return None
     coeffs, _ = solved
@@ -561,9 +539,9 @@ def irreducibility_probe(P, T: YElementTable, k):
             elif len(B2) == 1:
                 right = PBWPolynomial(P.space, P.N, {B2[0]: 1})
                 columns = [
-                    P.mul(PBWPolynomial(P.space, P.N, {m: 1}), right) for m in B1
+                    P.mul(PBWPolynomial(P.space, P.N, {m: 1}), right).terms for m in B1
                 ]
-                if _solve_membership(P, columns, y) is not None:
+                if _solve_membership(P, columns, y.terms) is not None:
                     return False, complete
             else:
                 complete = False

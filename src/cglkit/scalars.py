@@ -3,11 +3,13 @@
 Two representations live here:
 
 * ``LaurentFraction`` -- a quotient of multivariate Laurent polynomials with
-  ``fractions.Fraction`` coefficients.  There is deliberately no multivariate
-  GCD: equality is decided by cross-multiplication, and only cheap content
-  reduction (common rational content, common pure-monomial factors, folding
-  single-term denominators) keeps representations small.  Consequently
-  ``(q^2 - 1)/(q - 1)`` and ``q + 1`` are equal but not identical.
+  ``fractions.Fraction`` coefficients.  Construction folds single-term
+  denominators into the numerator, cancels the multivariate polynomial GCD
+  of numerator and denominator (computed over Z), and removes common
+  rational content and common pure-monomial factors, so
+  ``(q^2 - 1)/(q - 1)`` becomes ``q + 1``.  The GCD is skipped when
+  len(num) * len(den) exceeds 4096, so equal values need not be identical
+  and equality is decided by cross-multiplication.
 
 * ``SignedMonomial`` -- an element of the subgroup of K^x generated by the
   parameters together with nonzero rationals, i.e. ``c * q1^e1 * ... * qm^em``.
@@ -23,7 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import DivisionByZero, NotAMonomial
 
@@ -155,15 +157,6 @@ def _int_primitive(a):
     return {e: c // g for e, c in a.items()}
 
 
-def _to_int_primitive(a):
-    if not a:
-        return {}
-    l = 1
-    for c in a.values():
-        l = lcm(l, c.denominator)
-    return _int_primitive({e: int(c * l) for e, c in a.items()})
-
-
 def _lead_in_var(p, v):
     d = max(e[v] for e in p)
     return d, {e[:v] + (0,) + e[v + 1 :] : c for e, c in p.items() if e[v] == d}
@@ -292,34 +285,6 @@ def _poly_gcd_int(a, b, m):
     return _int_primitive(_dict_mul(cont, pa))
 
 
-def _poly_gcd(a, b, m):
-    """gcd of two Fraction-coefficient polynomials, integer-primitive output."""
-    g = _poly_gcd_int(_to_int_primitive(a), _to_int_primitive(b), m)
-    return {e: Fraction(c) for e, c in g.items()}
-
-
-def _poly_div_exact(a, g, m):
-    """Exact division a / g over Q; assumes divisibility."""
-    if not a:
-        return {}
-    gv = _poly_vars(g, m)
-    if not gv:
-        ((_, c0),) = g.items()
-        return {e: c / c0 for e, c in a.items()}
-    v = gv[-1]
-    dg, gl = _lead_in_var(g, v)
-    r = dict(a)
-    out = {}
-    while r:
-        dr, rl = _lead_in_var(r, v)
-        q = _poly_div_exact(rl, gl, m)
-        shift = dr - dg
-        qs = {e[:v] + (e[v] + shift,) + e[v + 1 :] : c for e, c in q.items()}
-        out = _dict_add(out, qs)
-        r = _dict_add(r, _dict_neg(_dict_mul(qs, g)))
-    return out
-
-
 class LaurentFraction:
     """num/den with Laurent-polynomial numerator and denominator.
 
@@ -350,29 +315,28 @@ class LaurentFraction:
     def _reduce(space, num, den):
         if not num:
             return {}, {space.zero_exps(): Fraction(1)}
+        if len(den) > 1:
+            # shift to nonnegative exponents, then cancel the polynomial gcd
+            pool = list(num.items()) + list(den.items())
+            mins = tuple(min(e[i] for e, _ in pool) for i in range(space.m))
+            if any(mins):
+                num = {tuple(x - y for x, y in zip(e, mins)): c for e, c in num.items()}
+                den = {tuple(x - y for x, y in zip(e, mins)): c for e, c in den.items()}
+            if len(num) > 1 and len(num) * len(den) <= 4096:
+                # one common integer scale: by Gauss's lemma the primitive gcd
+                # divides both over Z, and the content step below drops the scale
+                scale = lcm(*(c.denominator for _, c in pool))
+                num_z = {e: int(c * scale) for e, c in num.items()}
+                den_z = {e: int(c * scale) for e, c in den.items()}
+                g = _poly_gcd_int(_int_primitive(num_z), _int_primitive(den_z), space.m)
+                if len(g) > 1:
+                    num = _dict_clean(_poly_div_exact_int(num_z, g, space.m))
+                    den = _dict_clean(_poly_div_exact_int(den_z, g, space.m))
         if len(den) == 1:
             # fold a monomial denominator into the numerator
             (de, dc), = den.items()
             num = {tuple(x - y for x, y in zip(e, de)): c / dc for e, c in num.items()}
             return num, {space.zero_exps(): Fraction(1)}
-        # shift to nonnegative exponents, then cancel the polynomial gcd
-        pool = list(num.items()) + list(den.items())
-        mins = tuple(min(e[i] for e, _ in pool) for i in range(space.m))
-        if any(mins):
-            num = {tuple(x - y for x, y in zip(e, mins)): c for e, c in num.items()}
-            den = {tuple(x - y for x, y in zip(e, mins)): c for e, c in den.items()}
-        if len(num) > 1 and len(num) * len(den) <= 4096:
-            g = _poly_gcd(num, den, space.m)
-            if len(g) > 1:
-                num = _poly_div_exact(num, g, space.m)
-                den = _poly_div_exact(den, g, space.m)
-                if len(den) == 1:
-                    (de, dc), = den.items()
-                    num = {
-                        tuple(x - y for x, y in zip(e, de)): c / dc
-                        for e, c in num.items()
-                    }
-                    return num, {space.zero_exps(): Fraction(1)}
         # joint content reduction: common rational content and common monomial
         pool = list(num.items()) + list(den.items())
         cont = _content([c for _, c in pool])
@@ -662,3 +626,8 @@ class SignedMonomial:
 
     def __repr__(self):
         return f"<SignedMonomial {self}>"
+
+
+def _power_product(space, bases, exps) -> "SignedMonomial":
+    """prod_i bases[i]^exps[i] for SignedMonomial bases."""
+    return prod((b**e for b, e in zip(bases, exps) if e), start=SignedMonomial.one(space))

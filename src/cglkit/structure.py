@@ -3,15 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
-from . import pbw
-from .errors import InternalInconsistency, MissingHStar, NotReversible
+from .errors import InternalInconsistency, MissingHStar
 from .lattice import row_space_basis
-from .pbw import PBWPolynomial
-from .presentation import CGLPresentation, TorusData, validate_symmetric
+from .pbw import PBWPolynomial, _scale_diagonally
+from .presentation import CGLPresentation, TorusData, _require_reversible, validate_symmetric
 from .primes import YElementTable, compute_P_x
 from .reporting import ValidationReport
-from .scalars import SignedMonomial
+from .scalars import SignedMonomial, _power_product
 
 
 @dataclass
@@ -21,14 +21,7 @@ class DiagonalMap:
     eigenvalues: list
 
     def apply(self, p: PBWPolynomial) -> PBWPolynomial:
-        out = {}
-        for mono, coeff in p.terms.items():
-            factor = SignedMonomial.one(p.space)
-            for i, e in enumerate(mono):
-                if e:
-                    factor = factor * self.eigenvalues[i] ** e
-            out[mono] = coeff * factor.to_fraction()
-        return PBWPolynomial(p.space, p.N, out)
+        return _scale_diagonally(p, self.eigenvalues)
 
     def as_spec(self, P):
         from .automorphisms import EndomorphismSpec
@@ -60,11 +53,7 @@ def check_diagonal_automorphism(P: CGLPresentation, d: DiagonalMap) -> bool:
     for (k, j), poly in P.Q.items():
         want = d.eigenvalues[k] * d.eigenvalues[j]
         for mono in poly.terms:
-            factor = SignedMonomial.one(P.space)
-            for i, e in enumerate(mono):
-                if e:
-                    factor = factor * d.eigenvalues[i] ** e
-            if factor != want:
+            if _power_product(P.space, d.eigenvalues, mono) != want:
                 return False
     return True
 
@@ -96,18 +85,9 @@ def nakayama_automorphism(P: CGLPresentation) -> DiagonalMap:
     (the reversibility condition); the result is asserted to preserve the
     relations.
     """
-    for (k, j), poly in P.Q.items():
-        if any(i <= j or i >= k for i in poly.support()):
-            raise NotReversible(
-                f"Q[{k + 1},{j + 1}] is not supported strictly between the endpoints"
-            )
-    eigenvalues = []
-    for k in range(P.N):
-        value = SignedMonomial.one(P.space)
-        for j in range(P.N):
-            value = value * P.lam[k][j]
-        eigenvalues.append(value)
-    nu = DiagonalMap(eigenvalues)
+    _require_reversible(P)
+    one = SignedMonomial.one(P.space)
+    nu = DiagonalMap([prod(P.lam[k], start=one) for k in range(P.N)])
     if not check_diagonal_automorphism(P, nu):
         raise InternalInconsistency("Nakayama eigenvalues fail relation preservation")
     return nu
@@ -139,10 +119,9 @@ def verify_nakayama_by_normal_element(
         "" if not bad else f"failing k {bad}",
     )
     bad_beta = []
+    one = SignedMonomial.one(P.space)
     for k in range(P.N):
-        beta = SignedMonomial.one(P.space)
-        for l in finals:
-            beta = beta * T.alpha[k][l]
+        beta = prod((T.alpha[k][l] for l in finals), start=one)
         if beta != nu.eigenvalues[k]:
             bad_beta.append(k + 1)
     report.add(

@@ -60,6 +60,15 @@ def test_validate_rejects_bad_lambda_diagonal(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_validate_malformed_file_is_a_usage_error(tmp_path, capsys):
+    data = json.loads(parse_preset_spec("oq-matrices:2,2").to_json())
+    del data["torus"]["h"]
+    bad = tmp_path / "malformed.json"
+    bad.write_text(json.dumps(data))
+    assert main(["validate", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_validate_missing_file(capsys):
     assert main(["validate", "no-such-file.json"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -159,6 +159,13 @@ def test_parse_raw_mode_rejects_out_of_order():
         P.parse("x4*x1", normalize=False)
 
 
+def test_parse_raw_mode_points_at_an_out_of_order_power():
+    P = parse_preset_spec("oq-matrices:2,2")
+    with pytest.raises(ParseError) as info:
+        P.parse("x1 + (x2 + x1)^2", normalize=False)
+    assert (info.value.line, info.value.col) == (1, 6)
+
+
 def test_apply_endomorphism_substitutes_in_order():
     P = qa(2)
     q = P.scalar("q")

@@ -100,6 +100,26 @@ def test_malformed_inputs():
         CGLPresentation.from_json_dict(bad)
     with pytest.raises(MalformedPresentation):
         CGLPresentation.from_json("{not json")
+    # wrong types and missing fields; a value of None deletes the field
+    for path, value in [
+        (("N",), "abc"),
+        (("torus", "rank"), "x"),
+        (("torus", "h"), None),
+        (("torus", "chi", 0, 0), "a"),
+        (("lambda",), 5),
+        (("torus", "pi", 0), "z"),
+        (("Q",), [1]),
+    ]:
+        bad = json.loads(P.to_json())
+        target = bad
+        for key in path[:-1]:
+            target = target[key]
+        if value is None:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
+        with pytest.raises(MalformedPresentation):
+            CGLPresentation.from_json_dict(bad)
 
 
 def test_q_entry_must_live_below_its_row():
