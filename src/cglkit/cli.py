@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import presets as preset_catalog
@@ -268,6 +269,14 @@ def main(argv=None):
         else:
             P = _load_presentation(args, parser)
             code, payload = args.handler(P, args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so that the flush at
+        # interpreter exit stays silent, and report nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     except ParseError as exc:

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from . import pbw
 from .errors import DivisionByZero, ParseError, UnknownGenerator
-from .scalars import LaurentFraction, _monomial_str, _term_sort_key
+from .scalars import LaurentFraction, _monomial_str, _poly_str, _term_sort_key
 
 
 class Token(NamedTuple):
@@ -280,22 +280,18 @@ def format_scalar(value: LaurentFraction) -> str:
 
 def _coeff_prefix(coeff: LaurentFraction):
     """(sign, text) where text is '' for +-1 and a safe factor otherwise."""
-    num, den = coeff.num, coeff.den
-    trivial_den = den == {coeff.space.zero_exps(): Fraction(1)}
-    lead_neg = max(num.items(), key=_term_sort_key)[1] < 0
-    if lead_neg:
+    num = coeff.num
+    if max(num.items(), key=_term_sort_key)[1] < 0:
         sign, text = _coeff_prefix(-coeff)
         return ("-" if sign == "+" else "+"), text
-    if trivial_den and len(num) == 1:
+    if not coeff.is_laurent:
+        return "+", str(coeff)
+    if len(num) == 1:
         (exps, c), = num.items()
         if c == 1 and not any(exps):
             return "+", ""
         return "+", _monomial_str(coeff.space, c, exps)
-    if trivial_den:
-        from .scalars import _poly_str
-
-        return "+", f"({_poly_str(coeff.space, num)})"
-    return "+", str(coeff)
+    return "+", f"({_poly_str(coeff.space, num)})"
 
 
 def format_poly(p, names=None, degrees=None) -> str:

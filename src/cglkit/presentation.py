@@ -35,6 +35,13 @@ from .scalars import LaurentFraction, ParameterSpace, SignedMonomial, _power_pro
 _GEN_RE = re.compile(r"x([1-9][0-9]*)\Z")
 
 
+def _count(value, name) -> int:
+    # int() would truncate 2.5 and accept true; bool is an int subclass
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise MalformedPresentation(f"{name} must be a nonnegative integer")
+    return value
+
+
 @dataclass
 class TorusData:
     """Rational torus (K^x)^rank acting diagonally on the generators."""
@@ -272,11 +279,11 @@ class CGLPresentation:
 
         try:
             names = tuple(data["params"])
-            N = int(data["N"])
+            N = _count(data["N"], "N")
             lam_rows = [list(row) for row in data["lambda"]]
             q_items = list(data.get("Q", {}).items())
             torus_obj = data["torus"]
-            rank = int(torus_obj["rank"])
+            rank = _count(torus_obj["rank"], "torus.rank")
             chi = [tuple(int(c) for c in row) for row in torus_obj["chi"]]
             h_rows = [list(row) for row in torus_obj["h"]]
             h_star_rows = None

@@ -2,22 +2,32 @@
 
 Two representations live here:
 
-* ``LaurentFraction`` -- a quotient of multivariate Laurent polynomials with
-  ``fractions.Fraction`` coefficients.  Construction folds single-term
-  denominators into the numerator, cancels the multivariate polynomial GCD
-  of numerator and denominator (computed over Z), and removes common
-  rational content and common pure-monomial factors, so
-  ``(q^2 - 1)/(q - 1)`` becomes ``q + 1``.  The GCD is skipped when
-  len(num) * len(den) exceeds 4096, so equal values need not be identical
-  and equality is decided by cross-multiplication.
+* ``LaurentFraction`` -- a quotient num/den of multivariate Laurent
+  polynomials.  Construction folds single-term denominators into the
+  numerator, cancels the multivariate polynomial GCD of numerator and
+  denominator (computed over Z), and removes common rational content and
+  common pure-monomial factors, so ``(q^2 - 1)/(q - 1)`` becomes ``q + 1``.
+  After construction ``len(den) == 1`` holds exactly when the value is a
+  Laurent polynomial, and then ``den`` is the constant 1.  Such values take
+  a fast path: ``+``, ``-``, ``*`` and unary minus of two Laurent
+  polynomials build their result straight from the sparse-dict product or
+  sum, with no cleaning, GCD or content work, and ``==`` compares the
+  numerator dicts.  True quotients (``len(den) > 1``) take the general path.
+  Its GCD is skipped when len(num) * len(den) exceeds 4096, so equal
+  quotients need not be identical, and ``==`` decides them by
+  cross-multiplication.
 
 * ``SignedMonomial`` -- an element of the subgroup of K^x generated by the
   parameters together with nonzero rationals, i.e. ``c * q1^e1 * ... * qm^em``.
   Commutation scalars and torus-element components are restricted to this
-  group so that the additive logarithm into Z/2 x Z^m exists.
+  group so that the additive logarithm into Z/2 x Z^m exists.  Its ``coeff``
+  is always a ``Fraction``.
 
 Laurent polynomials are sparse dicts mapping exponent tuples (ints, possibly
-negative) to nonzero ``Fraction`` values.
+negative) to nonzero coefficients in one canonical form: ``int`` when the
+coefficient is integral and ``Fraction`` otherwise, never ``float``.  Integer
+coefficients keep the inner loop of the product in machine-size int
+arithmetic; every division of coefficients goes through ``Fraction``.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import add
 
 from .errors import DivisionByZero, NotAMonomial
 
@@ -59,19 +70,25 @@ class ParameterSpace:
         return (0,) * len(self.names)
 
 
-def _as_fraction(value) -> Fraction:
+def _coeff(value):
+    """Canonical coefficient: int when integral, Fraction otherwise."""
     if isinstance(value, Fraction):
-        return value
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
-# -- sparse Laurent polynomial helpers (dict exponent-tuple -> Fraction) --
+def _div(a, b):
+    # ``a / b`` on two ints would give a float
+    return _coeff(Fraction(a, b))
+
+
+# -- sparse Laurent polynomial helpers (dict exponent-tuple -> coefficient) --
 
 
 def _dict_clean(d):
-    return {tuple(e): _as_fraction(c) for e, c in d.items() if c != 0}
+    return {tuple(e): _coeff(c) for e, c in d.items() if c != 0}
 
 def _dict_add(a, b):
     out = dict(a)
@@ -90,7 +107,7 @@ def _dict_mul(a, b):
     out = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
+            e = tuple(map(add, ea, eb))
             s = out.get(e, 0) + ca * cb
             if s:
                 out[e] = s
@@ -288,9 +305,12 @@ def _poly_gcd_int(a, b, m):
 class LaurentFraction:
     """num/den with Laurent-polynomial numerator and denominator.
 
-    Instances are immutable by convention (no mutating API).  ``__eq__`` uses
-    cross-multiplication; ``__hash__`` is disabled because equal values can
-    have different representations.
+    Instances are immutable by convention (no mutating API), and ``num`` and
+    ``den`` hold canonical coefficients (int or Fraction).  When both operands
+    are Laurent polynomials (``is_laurent``), arithmetic skips reduction and
+    ``__eq__`` compares numerators, which are unique for such values.
+    Otherwise ``__eq__`` cross-multiplies.  ``__hash__`` is disabled because
+    quotients past the GCD cap can have different representations.
     """
 
     __slots__ = ("space", "num", "den")
@@ -298,7 +318,7 @@ class LaurentFraction:
     def __init__(self, space: ParameterSpace, num, den=None):
         num = _dict_clean(num)
         if den is None:
-            den = {space.zero_exps(): Fraction(1)}
+            den = {space.zero_exps(): 1}
         else:
             den = _dict_clean(den)
         if not den:
@@ -308,13 +328,31 @@ class LaurentFraction:
         object.__setattr__(self, "num", n)
         object.__setattr__(self, "den", d)
 
+    @classmethod
+    def _trusted(cls, space, num, den):
+        """Build a Laurent polynomial without ``_dict_clean`` or ``_reduce``.
+
+        ``den`` is the constant 1 and ``num`` is canonical, or a
+        ``_dict_add``/``_dict_mul``/``_dict_neg`` result of canonical dicts:
+        zero-free, and integral only where Fraction arithmetic landed on an
+        integer, which is turned back into an int here.
+        """
+        for e, c in num.items():
+            if type(c) is Fraction and c.denominator == 1:
+                num[e] = c.numerator
+        self = object.__new__(cls)
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        return self
+
     def __setattr__(self, *args):
         raise AttributeError("LaurentFraction is immutable")
 
     @staticmethod
     def _reduce(space, num, den):
         if not num:
-            return {}, {space.zero_exps(): Fraction(1)}
+            return {}, {space.zero_exps(): 1}
         if len(den) > 1:
             # shift to nonnegative exponents, then cancel the polynomial gcd
             pool = list(num.items()) + list(den.items())
@@ -335,15 +373,15 @@ class LaurentFraction:
         if len(den) == 1:
             # fold a monomial denominator into the numerator
             (de, dc), = den.items()
-            num = {tuple(x - y for x, y in zip(e, de)): c / dc for e, c in num.items()}
-            return num, {space.zero_exps(): Fraction(1)}
+            num = {tuple(x - y for x, y in zip(e, de)): _div(c, dc) for e, c in num.items()}
+            return num, {space.zero_exps(): 1}
         # joint content reduction: common rational content and common monomial
         pool = list(num.items()) + list(den.items())
         cont = _content([c for _, c in pool])
         mins = tuple(min(e[i] for e, _ in pool) for i in range(space.m))
         if cont != 1 or any(mins):
-            num = {tuple(x - y for x, y in zip(e, mins)): c / cont for e, c in num.items()}
-            den = {tuple(x - y for x, y in zip(e, mins)): c / cont for e, c in den.items()}
+            num = {tuple(x - y for x, y in zip(e, mins)): _div(c, cont) for e, c in num.items()}
+            den = {tuple(x - y for x, y in zip(e, mins)): _div(c, cont) for e, c in den.items()}
         # normalize the sign of the denominator's leading term
         lead = max(den.items(), key=_term_sort_key)
         if lead[1] < 0:
@@ -355,22 +393,22 @@ class LaurentFraction:
 
     @classmethod
     def zero(cls, space):
-        return cls(space, {})
+        return cls._trusted(space, {}, {space.zero_exps(): 1})
 
     @classmethod
     def one(cls, space):
-        return cls(space, {space.zero_exps(): Fraction(1)})
+        return cls.from_monomial(space, 1, space.zero_exps())
 
     @classmethod
     def from_rational(cls, space, value):
-        return cls(space, {space.zero_exps(): _as_fraction(value)})
+        return cls.from_monomial(space, value, space.zero_exps())
 
     @classmethod
     def from_monomial(cls, space, coeff, exps):
-        coeff = _as_fraction(coeff)
+        coeff = _coeff(coeff)
         if coeff == 0:
             return cls.zero(space)
-        return cls(space, {tuple(exps): coeff})
+        return cls._trusted(space, {tuple(exps): coeff}, {space.zero_exps(): 1})
 
     @classmethod
     def parameter(cls, space, name):
@@ -385,12 +423,17 @@ class LaurentFraction:
         return not self.num
 
     @property
+    def is_laurent(self) -> bool:
+        """True when the value is a Laurent polynomial (``den`` is 1)."""
+        return len(self.den) == 1
+
+    @property
     def is_one(self) -> bool:
         return self == 1
 
     def _coerce(self, other):
         if isinstance(other, LaurentFraction):
-            if other.space != self.space:
+            if other.space is not self.space and other.space != self.space:
                 raise ValueError("mixed parameter spaces")
             return other
         if isinstance(other, (int, Fraction)):
@@ -405,6 +448,8 @@ class LaurentFraction:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.is_laurent and other.is_laurent:
+            return LaurentFraction._trusted(self.space, _dict_add(self.num, other.num), self.den)
         if self.den == other.den:
             return LaurentFraction(self.space, _dict_add(self.num, other.num), dict(self.den))
         return LaurentFraction(
@@ -416,6 +461,8 @@ class LaurentFraction:
     __radd__ = __add__
 
     def __neg__(self):
+        if self.is_laurent:
+            return LaurentFraction._trusted(self.space, _dict_neg(self.num), self.den)
         return LaurentFraction(self.space, _dict_neg(self.num), dict(self.den))
 
     def __sub__(self, other):
@@ -431,6 +478,8 @@ class LaurentFraction:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.is_laurent and other.is_laurent:
+            return LaurentFraction._trusted(self.space, _dict_mul(self.num, other.num), self.den)
         return LaurentFraction(
             self.space, _dict_mul(self.num, other.num), _dict_mul(self.den, other.den)
         )
@@ -466,6 +515,8 @@ class LaurentFraction:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.is_laurent and other.is_laurent:
+            return self.num == other.num
         return _dict_mul(self.num, other.den) == _dict_mul(other.num, self.den)
 
     __hash__ = None
@@ -479,12 +530,10 @@ class LaurentFraction:
         trivial after reduction in that case).  Mathematically-monomial values
         hidden behind an unreduced quotient raise NotAMonomial.
         """
-        if len(self.num) != 1 or len(self.den) != 1:
+        if len(self.num) != 1 or not self.is_laurent:
             raise NotAMonomial(f"not a monomial: {self}")
-        (ne, nc), = self.num.items()
-        (de, dc), = self.den.items()
-        exps = tuple(x - y for x, y in zip(ne, de))
-        return SignedMonomial(self.space, nc / dc, exps)
+        (exps, c), = self.num.items()
+        return SignedMonomial(self.space, Fraction(c), exps)
 
     def as_rational(self) -> Fraction:
         if self.is_zero:
@@ -500,7 +549,7 @@ class LaurentFraction:
         if self.is_zero:
             return "0"
         num_s = _poly_str(self.space, self.num)
-        if len(self.den) == 1 and self.den == {self.space.zero_exps(): Fraction(1)}:
+        if self.is_laurent:
             return num_s
         den_s = _poly_str(self.space, self.den)
         return f"({num_s})/({den_s})"
@@ -548,7 +597,7 @@ class SignedMonomial:
     exps: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeff", _as_fraction(self.coeff))
+        object.__setattr__(self, "coeff", Fraction(_coeff(self.coeff)))
         object.__setattr__(self, "exps", tuple(self.exps))
         if self.coeff == 0:
             raise ValueError("SignedMonomial coefficient must be nonzero")

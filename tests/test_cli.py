@@ -1,6 +1,9 @@
 """End-to-end command-line behavior, driven through cli.main."""
 
+import io
 import json
+import os
+import sys
 
 import pytest
 
@@ -67,6 +70,33 @@ def test_validate_malformed_file_is_a_usage_error(tmp_path, capsys):
     bad.write_text(json.dumps(data))
     assert main(["validate", str(bad)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone away, backed by a real descriptor."""
+
+    def __init__(self, fd):
+        self._fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self._fd
+
+
+def test_closed_stdout_ends_quietly(tmp_path, monkeypatch, capsys):
+    target = tmp_path / "stdout"
+    fd = os.open(target, os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+        assert main(["preset", "emit", "--preset", "oq-matrices:3,3"]) == 1
+        # the descriptor now points at devnull, so the flush at exit is silent
+        os.write(fd, b"flushed at exit")
+    finally:
+        os.close(fd)
+    assert capsys.readouterr().err == ""
+    assert target.read_bytes() == b""
 
 
 def test_validate_missing_file(capsys):

@@ -120,6 +120,15 @@ def test_malformed_inputs():
             target[path[-1]] = value
         with pytest.raises(MalformedPresentation):
             CGLPresentation.from_json_dict(bad)
+    # counts must be JSON integers: int() would truncate 2.5 and accept true
+    for field, value in [
+        ("N", -1), ("N", 2.5), ("N", True), ("N", "2"),
+        ("rank", -1), ("rank", 2.5), ("rank", True), ("rank", False),
+    ]:
+        bad = json.loads(P.to_json())
+        (bad["torus"] if field == "rank" else bad)[field] = value
+        with pytest.raises(MalformedPresentation, match=f"{field} must be a nonnegative integer"):
+            CGLPresentation.from_json_dict(bad)
 
 
 def test_q_entry_must_live_below_its_row():

@@ -167,3 +167,93 @@ def test_as_monomial():
         (q + 1).as_monomial()
     with pytest.raises(NotAMonomial):
         LaurentFraction.zero(SP).as_monomial()
+
+
+# -- the Laurent-polynomial fast path against the general constructor --
+
+
+def _raw_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + Fraction(ca) * Fraction(cb)
+    return out
+
+
+def _raw_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return out
+
+
+def _assert_canonical(x):
+    for c in list(x.num.values()) + list(x.den.values()):
+        assert type(c) in (int, Fraction), type(c)
+        assert type(c) is int or c.denominator != 1, c
+
+
+def rand_laurent(rng, space):
+    """Random Laurent polynomial or, one time in four, a random quotient."""
+    if rng.random() < 0.25:
+        return rand_fraction(rng, space)
+    coeffs = [1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)]
+    terms = {}
+    for _ in range(rng.randint(0, 4)):
+        terms[tuple(rng.randint(-2, 2) for _ in range(space.m))] = rng.choice(coeffs)
+    return LaurentFraction(space, terms)
+
+
+def test_fast_path_matches_general_constructor():
+    rng = random.Random(20261018)
+    for space in (SP, SP2):
+        for _ in range(150):
+            a, b = rand_laurent(rng, space), rand_laurent(rng, space)
+            cross = _raw_mul(a.den, b.den)
+            minus_a_den = {e: -c for e, c in a.den.items()}
+            expected = {
+                "a*b": LaurentFraction(space, _raw_mul(a.num, b.num), cross),
+                "a+b": LaurentFraction(
+                    space, _raw_add(_raw_mul(a.num, b.den), _raw_mul(b.num, a.den)), cross
+                ),
+                "a-b": LaurentFraction(
+                    space, _raw_add(_raw_mul(a.num, b.den), _raw_mul(b.num, minus_a_den)), cross
+                ),
+                "-a": LaurentFraction(space, {e: -c for e, c in a.num.items()}, a.den),
+            }
+            got = {"a*b": a * b, "a+b": a + b, "a-b": a - b, "-a": -a}
+            for op, value in got.items():
+                _assert_canonical(value)
+                assert (value.num, value.den) == (expected[op].num, expected[op].den), op
+            # == against cross-multiplication, on equal and unequal pairs; a*m/m
+            # comes back through the general constructor's GCD step
+            m = rand_laurent(rng, space)
+            if m.is_laurent and not m.is_zero:
+                same = LaurentFraction(space, _raw_mul(a.num, m.num), _raw_mul(a.den, m.num))
+                assert (same.num, same.den) == (a.num, a.den)
+                assert same == a
+            for x, y in ((a, b), (b, a), (a, a)):
+                by_cross = _raw_mul(x.num, y.den) == _raw_mul(y.num, x.den)
+                assert (x == y) == by_cross
+
+
+def test_coefficients_are_int_or_fraction():
+    q = LaurentFraction.parameter(SP, "q")
+    half = LaurentFraction.from_monomial(SP, Fraction(1, 2), (1,))
+    assert type((half + half).num[(1,)]) is int
+    assert type((half * 2).num[(1,)]) is int
+    assert type((half * q**-1).num[(0,)]) is Fraction
+    assert type(LaurentFraction(SP, {(0,): Fraction(4, 2)}).num[(0,)]) is int
+    assert type(((q**2 - 1) / (2 * q - 2)).num[(1,)]) is Fraction
+    with pytest.raises(TypeError):
+        LaurentFraction.from_rational(SP, 0.5)
+    with pytest.raises(TypeError):
+        LaurentFraction(SP, {(0,): 0.5})
+    # conversions out of the field stay Fraction
+    assert type((3 * q**2).as_monomial().coeff) is Fraction
+    assert type((half * 2 * q**-1).as_monomial().coeff) is Fraction
+    assert type(LaurentFraction.from_rational(SP, 7).as_rational()) is Fraction
+    assert type((half / half).as_rational()) is Fraction
+    assert type(LaurentFraction.zero(SP).as_rational()) is Fraction
+    assert (half + half).is_laurent and not (q / (q + 1)).is_laurent
