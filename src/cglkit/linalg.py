@@ -1,32 +1,67 @@
-"""Dense exact linear algebra over the scalar field (LaurentFraction entries).
+"""Exact linear algebra over the scalar field (LaurentFraction entries).
 
-Small systems only; straightforward Gauss-Jordan with first-nonzero pivoting
-(deterministic).
+One sparse Gauss-Jordan routine, ``_rref``, serves ``solve_affine``,
+``nullspace`` and ``rank``.  Rows are dicts {column: entry} without zero
+entries, so elimination touches only nonzeros.  Pivots are chosen for cost:
+in each column the pivot is a Laurent polynomial before a quotient, then the
+entry with the fewest terms, then the row with the fewest nonzeros, then the
+lowest row index.  Inverting a non-unit makes a quotient, and every later
+update with a quotient pays a polynomial GCD, so cheap pivots keep the sparse,
+Laurent-valued systems of the y-element search cheap.
+
+The pivot choice cannot change a result: the reduced row echelon form of a
+matrix is unique, so the solutions, nullspace bases and ranks are the same
+field elements whatever pivots were taken.  Scalars are stored reduced, so
+equal results also print identically (below the GCD cap of ``scalars``).
 """
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .scalars import LaurentFraction
 
 
-def _rref(M, space, width):
-    """In-place reduced row echelon form; returns pivot column list."""
+def _sparse(row):
+    return {j: x for j, x in enumerate(row) if not x.is_zero}
+
+
+def _pivot_cost(row, c, index):
+    x = row[c]
+    return (not x.is_laurent, len(x.num) + len(x.den), len(row), index)
+
+
+def _rref(rows, width):
+    """Reduce sparse rows to reduced row echelon form, in place.
+
+    ``rows`` is a list of dicts {column: nonzero entry}, columns below
+    ``width``.  Returns the pivots as (column, row) pairs in column order.
+    A pivot row's entry in its own column is 1 and is not stored; no other
+    row keeps an entry in a pivot column.
+    """
+    pending = dict(enumerate(rows))
     pivots = []
-    r = 0
     for c in range(width):
-        pr = next((i for i in range(r, len(M)) if not M[i][c].is_zero), None)
-        if pr is None:
+        found = [i for i, row in pending.items() if c in row]
+        if not found:
             continue
-        M[r], M[pr] = M[pr], M[r]
-        inv = M[r][c].inverse()
-        M[r] = [x * inv for x in M[r]]
-        for i in range(len(M)):
-            if i != r and not M[i][c].is_zero:
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(M):
+        prow = pending.pop(min(found, key=lambda i: _pivot_cost(pending[i], c, i)))
+        inv = prow.pop(c).inverse()
+        for j in prow:
+            prow[j] = prow[j] * inv
+        for row in chain(pending.values(), (r for _, r in pivots)):
+            f = row.pop(c, None)
+            if f is None:
+                continue
+            for j, y in prow.items():
+                x = row.get(j)
+                new = -(f * y) if x is None else x - f * y
+                if new.is_zero:
+                    del row[j]
+                else:
+                    row[j] = new
+        pivots.append((c, prow))
+        if not pending:
             break
     return pivots
 
@@ -36,28 +71,30 @@ def solve_affine(A, b, space):
 
     Returns (particular, nullspace_basis) with vectors as lists of
     LaurentFraction, or None when inconsistent.  A is a list of rows; the
-    number of unknowns is inferred from the row length.
+    number of unknowns is inferred from the row length.  The particular
+    solution is zero at the free unknowns.
     """
     if not A:
         return [], []
     n = len(A[0])
-    M = [list(row) + [bv] for row, bv in zip(A, b)]
-    pivots = _rref(M, space, n)
-    rank = len(pivots)
-    for i in range(rank, len(M)):
-        if not M[i][n].is_zero:
-            return None
+    # eliminate over [A | b]: a pivot in column n means 0 = nonzero
+    pivots = _rref([_sparse(list(row) + [bv]) for row, bv in zip(A, b)], n + 1)
+    if pivots and pivots[-1][0] == n:
+        return None
     zero = LaurentFraction.zero(space)
     particular = [zero] * n
-    for r, c in enumerate(pivots):
-        particular[c] = M[r][n]
-    free = [c for c in range(n) if c not in pivots]
+    for c, row in pivots:
+        particular[c] = row.get(n, zero)
+    pivot_columns = {c for c, _ in pivots}
     basis = []
-    for fc in free:
+    for fc in range(n):
+        if fc in pivot_columns:
+            continue
         vec = [zero] * n
         vec[fc] = LaurentFraction.one(space)
-        for r, c in enumerate(pivots):
-            vec[c] = -M[r][fc]
+        for c, row in pivots:
+            if fc in row:
+                vec[c] = -row[fc]
         basis.append(vec)
     return particular, basis
 
@@ -82,5 +119,4 @@ def nullspace(A, space, n=None):
 def rank(A, space):
     if not A:
         return 0
-    M = [list(row) for row in A]
-    return len(_rref(M, space, len(M[0])))
+    return len(_rref([_sparse(row) for row in A], len(A[0])))

@@ -314,22 +314,30 @@ def quantum_plane_minus_one():
     )
 
 
+def _size(text):
+    """A preset size argument, which must be a nonnegative integer."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"size {text} must be a nonnegative integer")
+    return value
+
+
 def _build_quantum_affine(args):
     if not 1 <= len(args) <= 2:
         raise UnknownPreset("quantum-affine takes N and an optional scalar")
-    return quantum_affine(int(args[0]), args[1] if len(args) == 2 else "q")
+    return quantum_affine(_size(args[0]), args[1] if len(args) == 2 else "q")
 
 
 def _build_oq(args):
     if len(args) != 2:
         raise UnknownPreset("oq-matrices takes t,n")
-    return oq_matrices(int(args[0]), int(args[1]))
+    return oq_matrices(_size(args[0]), _size(args[1]))
 
 
 def _build_multiparam(args):
     if len(args) != 1:
         raise UnknownPreset("multiparam-matrices takes n")
-    return multiparam_matrices(int(args[0]))
+    return multiparam_matrices(_size(args[0]))
 
 
 def _no_args(factory, label):

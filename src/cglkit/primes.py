@@ -14,7 +14,7 @@ represented by None.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import prod
+from math import lcm, prod
 
 from . import pbw
 from .errors import (
@@ -105,27 +105,40 @@ def _chi_sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
-def monomials_with_character(P, chi, top=None):
-    """Exponent tuples over x_0..x_{top-1} whose character is chi.
+def _monomials(P, degs, d, top, chi):
+    """Exponent tuples over x_0..x_{top-1} of pi-degree d, in lexicographic order.
 
-    Finite because the pi-grading is positive on generators; the search is a
-    bounded knapsack over the pi-degree budget.
+    A bounded knapsack over the pi-degree budget, finite because pi is
+    positive on the generators.  When chi is given, only tuples of that
+    character are kept, and a branch is cut as soon as the remaining
+    character is out of reach: with remaining degree r, the unplaced slots i
+    can only add coordinate a in [r * min_i chi_i[a]/deg_i, r * max_i
+    chi_i[a]/deg_i].  Both sides are scaled by L = lcm(deg_i) to stay in
+    integers.
     """
-    degs = P.generator_degrees()
-    if degs is None:
-        raise NoGradingDefined("character components need the positive grading pi")
     top = P.N if top is None else top
-    pi = P.torus.pi
-    budget = sum(p * c for p, c in zip(pi, chi))
-    if budget < 0:
-        return []
+    if chi is not None:
+        L = lcm(*degs[:top])
+        rates = [[c * (L // degs[i]) for c in P.torus.chi[i]] for i in range(top)]
+        # lo[s], hi[s]: per-coordinate min and max rate over the slots s..top-1
+        lo, hi = [None] * top, [None] * top
+        for s in reversed(range(top)):
+            lo[s] = rates[s] if s + 1 == top else list(map(min, rates[s], lo[s + 1]))
+            hi[s] = rates[s] if s + 1 == top else list(map(max, rates[s], hi[s + 1]))
     out = []
     acc = [0] * P.N
 
     def rec(slot, remaining_chi, remaining_deg):
-        if slot == top:
-            if remaining_deg == 0 and not any(remaining_chi):
+        if remaining_deg == 0:
+            if chi is None or not any(remaining_chi):
                 out.append(tuple(acc))
+            return
+        if slot == top:
+            return
+        if chi is not None and any(
+            v * L < remaining_deg * a or v * L > remaining_deg * b
+            for v, a, b in zip(remaining_chi, lo[slot], hi[slot])
+        ):
             return
         chi_slot = P.torus.chi[slot]
         step = degs[slot]
@@ -133,13 +146,22 @@ def monomials_with_character(P, chi, top=None):
             acc[slot] = e
             rec(
                 slot + 1,
-                tuple(r - e * c for r, c in zip(remaining_chi, chi_slot)),
+                None if chi is None else tuple(r - e * c for r, c in zip(remaining_chi, chi_slot)),
                 remaining_deg - e * step,
             )
         acc[slot] = 0
 
-    rec(0, tuple(chi), budget)
+    rec(0, None if chi is None else tuple(chi), d)
     return out
+
+
+def monomials_with_character(P, chi, top=None):
+    """Exponent tuples over x_0..x_{top-1} whose character is chi."""
+    degs = P.generator_degrees()
+    if degs is None:
+        raise NoGradingDefined("character components need the positive grading pi")
+    budget = sum(p * c for p, c in zip(P.torus.pi, chi))
+    return _monomials(P, degs, budget, top, chi) if budget >= 0 else []
 
 
 def monomials_of_degree(P, d, top=None):
@@ -147,23 +169,7 @@ def monomials_of_degree(P, d, top=None):
     degs = P.generator_degrees()
     if degs is None:
         raise NoGradingDefined("graded components need the positive grading pi")
-    top = P.N if top is None else top
-    out = []
-    acc = [0] * P.N
-
-    def rec(slot, remaining):
-        if slot == top:
-            if remaining == 0:
-                out.append(tuple(acc))
-            return
-        step = degs[slot]
-        for e in range(remaining // step + 1):
-            acc[slot] = e
-            rec(slot + 1, remaining - e * step)
-        acc[slot] = 0
-
-    rec(0, d)
-    return out
+    return _monomials(P, degs, d, top, None)
 
 
 def _solve_membership(P, columns, target):

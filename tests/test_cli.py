@@ -119,6 +119,26 @@ def test_unknown_preset(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "spec, name, size",
+    [
+        ("oq-matrices:-1,2", "oq-matrices", "-1"),
+        ("oq-matrices:2,-3", "oq-matrices", "-3"),
+        ("quantum-affine:-3", "quantum-affine", "-3"),
+        ("quantum-affine:-2:q", "quantum-affine", "-2"),
+        ("multiparam-matrices:-1", "multiparam-matrices", "-1"),
+    ],
+)
+def test_negative_preset_size_is_a_usage_error(spec, name, size, capsys):
+    assert main(["validate", "--preset", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: bad arguments for preset {name}: "
+        f"size {size} must be a nonnegative integer\n"
+    )
+
+
 def test_unknown_command(capsys):
     assert main(["frobnicate"]) == 2
     assert main([]) == 2
