@@ -106,52 +106,49 @@ def _chi_sub(a, b):
 
 
 def _monomials(P, degs, d, top, chi):
-    """Exponent tuples over x_0..x_{top-1} of pi-degree d, in lexicographic order.
+    """Exponent tuples over x_0..x_{top-1} of pi-degree d and character chi.
 
     A bounded knapsack over the pi-degree budget, finite because pi is
-    positive on the generators.  When chi is given, only tuples of that
-    character are kept, and a branch is cut as soon as the remaining
-    character is out of reach: with remaining degree r, the unplaced slots i
-    can only add coordinate a in [r * min_i chi_i[a]/deg_i, r * max_i
-    chi_i[a]/deg_i].  Both sides are scaled by L = lcm(deg_i) to stay in
-    integers.
+    positive on the generators; the tuples come in lexicographic order.  An
+    empty chi imposes no character.  A branch is cut as soon as the
+    remaining character is out of reach: with remaining degree r, the
+    unplaced slots i can only add coordinate a in [r * min_i chi_i[a]/deg_i,
+    r * max_i chi_i[a]/deg_i].  Both sides are scaled by L = lcm(deg_i) to
+    stay in integers.
     """
     top = P.N if top is None else top
-    if chi is not None:
-        L = lcm(*degs[:top])
-        rates = [[c * (L // degs[i]) for c in P.torus.chi[i]] for i in range(top)]
-        # lo[s], hi[s]: per-coordinate min and max rate over the slots s..top-1
-        lo, hi = [None] * top, [None] * top
-        for s in reversed(range(top)):
-            lo[s] = rates[s] if s + 1 == top else list(map(min, rates[s], lo[s + 1]))
-            hi[s] = rates[s] if s + 1 == top else list(map(max, rates[s], hi[s + 1]))
+    rows = [P.torus.chi[i][: len(chi)] for i in range(top)]
+    L = lcm(*degs[:top])
+    rates = [[c * (L // degs[i]) for c in row] for i, row in enumerate(rows)]
+    # lo[s], hi[s]: per-coordinate min and max rate over the slots s..top-1
+    lo, hi = rates[:], rates[:]
+    for s in reversed(range(top - 1)):
+        lo[s] = list(map(min, rates[s], lo[s + 1]))
+        hi[s] = list(map(max, rates[s], hi[s + 1]))
     out = []
     acc = [0] * P.N
 
     def rec(slot, remaining_chi, remaining_deg):
         if remaining_deg == 0:
-            if chi is None or not any(remaining_chi):
+            if not any(remaining_chi):
                 out.append(tuple(acc))
             return
-        if slot == top:
-            return
-        if chi is not None and any(
+        if slot == top or any(
             v * L < remaining_deg * a or v * L > remaining_deg * b
             for v, a, b in zip(remaining_chi, lo[slot], hi[slot])
         ):
             return
-        chi_slot = P.torus.chi[slot]
         step = degs[slot]
         for e in range(remaining_deg // step + 1):
             acc[slot] = e
             rec(
                 slot + 1,
-                None if chi is None else tuple(r - e * c for r, c in zip(remaining_chi, chi_slot)),
+                tuple(r - e * c for r, c in zip(remaining_chi, rows[slot])),
                 remaining_deg - e * step,
             )
         acc[slot] = 0
 
-    rec(0, None if chi is None else tuple(chi), d)
+    rec(0, chi, d)
     return out
 
 
@@ -161,7 +158,7 @@ def monomials_with_character(P, chi, top=None):
     if degs is None:
         raise NoGradingDefined("character components need the positive grading pi")
     budget = sum(p * c for p, c in zip(P.torus.pi, chi))
-    return _monomials(P, degs, budget, top, chi) if budget >= 0 else []
+    return _monomials(P, degs, budget, top, chi)
 
 
 def monomials_of_degree(P, d, top=None):
@@ -169,7 +166,7 @@ def monomials_of_degree(P, d, top=None):
     degs = P.generator_degrees()
     if degs is None:
         raise NoGradingDefined("graded components need the positive grading pi")
-    return _monomials(P, degs, d, top, None)
+    return _monomials(P, degs, d, top, ())
 
 
 def _solve_membership(P, columns, target):

@@ -343,3 +343,31 @@ def test_monomials_with_character():
     chi = tuple(a + b for a, b in zip(P.torus.chi[0], P.torus.chi[3]))
     found = monomials_with_character(P, chi)
     assert sorted(found) == [(0, 1, 1, 0), (1, 0, 0, 1)]
+
+
+@pytest.mark.parametrize("spec", ["oq-matrices:2,3", "multiparam-matrices:3", "uq-sl3"])
+def test_monomial_enumeration_matches_brute_force(spec):
+    """All exponent tuples up to degree 2, in lexicographic order, grouped by
+    degree and by character: the pruned knapsack must list exactly these."""
+    P = parse_preset_spec(spec)
+    degs = P.generator_degrees()
+    by_degree, by_character = {}, {}
+    for top in (P.N, P.N - 1):
+        for mono in itertools.product(range(3), repeat=top):
+            mono += (0,) * (P.N - top)
+            d = sum(e * g for e, g in zip(mono, degs))
+            chi = tuple(
+                sum(e * c[a] for e, c in zip(mono, P.torus.chi)) for a in range(P.torus.rank)
+            )
+            if d <= 2:
+                by_degree.setdefault((top, d), []).append(mono)
+                by_character.setdefault((top, chi), []).append(mono)
+    for (top, d), monos in by_degree.items():
+        assert monomials_of_degree(P, d, top=top) == monos
+    for (top, chi), monos in by_character.items():
+        assert monomials_with_character(P, chi, top=top) == monos
+        # a nearby character of degree at most 2, which may have no monomials
+        for off in ((chi[0] - 1,) + chi[1:], (chi[0] + 1,) + chi[1:]):
+            if 0 <= sum(p * c for p, c in zip(P.torus.pi, off)) <= 2:
+                expected = by_character.get((top, off), [])
+                assert monomials_with_character(P, off, top=top) == expected
