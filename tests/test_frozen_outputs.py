@@ -2,9 +2,14 @@
 
 ``y-elements``, ``core``, ``saturation`` and ``verify-nakayama`` all solve the
 y-element normality systems; uq-sl3 also has quotient scalars and solves
-through ``presets._in_span_coeff`` when it is built.  Each case replays one
-command through ``cli.main`` and compares stdout, stderr, the exit code and
-the ``--json`` payload byte for byte with the files in ``tests/data/frozen``.
+through ``presets._in_span_coeff`` when it is built.  ``centralizer`` solves
+for a centralizer eigenspace and ``audit-endo`` inverts the degree-zero part
+of an endomorphism, both through ``linalg.solve_in_span``; ``validate`` and
+``y-elements`` on files written by ``preset emit`` load each presentation
+through ``CGLPresentation.from_json_dict``.  Each case replays one argument
+list through ``cli.main`` and compares stdout, stderr, the exit code and the
+``--json`` payload byte for byte with the files in ``tests/data/frozen``.
+The input files the cases read are kept in ``tests/data/frozen/inputs``.
 
 To record the files again (only when an output change is intended), run
 ``PYTHONPATH=src python tests/test_frozen_outputs.py``.
@@ -20,41 +25,77 @@ import pytest
 from cglkit.cli import main
 
 DATA = Path(__file__).resolve().parent / "data" / "frozen"
-PRESETS = [
-    "oq-matrices:2,3",
-    "oq-matrices:3,3",
-    "multiparam-matrices:3",
-    "uq-sl3",
-    "quantum-affine:3",
-]
-COMMANDS = ["y-elements", "core", "saturation", "verify-nakayama"]
-CASES = [(command, preset) for preset in PRESETS for command in COMMANDS]
+INPUTS = DATA / "inputs"
 
 
-def _slug(command, preset):
-    return f"{command}_{preset.replace(':', '_').replace(',', '-')}"
+def _slug(*parts):
+    return "_".join(parts).replace(":", "_").replace(",", "-")
 
 
-def _run(command, preset, json_path):
+def _cases():
+    """(slug, argv) pairs; an argv item that is a Path names an input file."""
+    cases = []
+    for preset in [
+        "oq-matrices:2,3",
+        "oq-matrices:3,3",
+        "multiparam-matrices:3",
+        "uq-sl3",
+        "quantum-affine:3",
+    ]:
+        for command in ["y-elements", "core", "saturation", "verify-nakayama"]:
+            cases.append((_slug(command, preset), [command, "--preset", preset]))
+    for preset, gen, s in [
+        ("oq-matrices:2,2", "x1", "1"),
+        ("oq-matrices:2,3", "x3", "0"),
+        ("oq-matrices:3,3", "x1", "1"),
+        ("oq-matrices:3,3", "x3", "0"),
+        ("oq-matrices:3,3", "x2", "-1"),
+        ("uq-sl3", "x2", "1"),
+        ("uq-sl3", "x2", "0"),
+    ]:
+        cases.append((_slug("centralizer", preset, gen, s), ["centralizer", gen, s, "--preset", preset]))
+    # quantum-affine:3 endomorphisms: the README shear, the identity, a
+    # diagonal map, the diagonal map after the shear, a map that breaks a
+    # relation and one whose degree-zero part is singular
+    for name in ["shear", "identity", "diagonal", "diagonal-shear", "breaking", "singular"]:
+        endo = INPUTS / f"endo_{name}.json"
+        cases.append(
+            (_slug("audit-endo", "quantum-affine:3", name), ["audit-endo", endo, "--preset", "quantum-affine:3"])
+        )
+    # files written by `cgl preset emit --preset <spec> --json <file>`
+    for preset in ["uq-sl3", "multiparam-matrices:2", "quantum-plane-minus-one"]:
+        path = INPUTS / f"{_slug('preset', preset)}.json"
+        for command in ["validate", "y-elements"]:
+            cases.append((_slug(command, "file", preset), [command, path]))
+    # oq-matrices:2,2 with a diagonal lambda entry, a lower lambda entry, a Q
+    # term and an h* entry changed, so that most checks report failures
+    broken = "oq-matrices:2,2-broken"
+    cases.append((_slug("validate", "file", broken), ["validate", INPUTS / f"{_slug('preset', broken)}.json"]))
+    return cases
+
+
+CASES = _cases()
+
+
+def _run(argv, json_path):
     out, err = io.StringIO(), io.StringIO()
+    argv = [str(a) for a in argv] + ["--json", str(json_path)]
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([command, "--preset", preset, "--json", str(json_path)])
+        code = main(argv)
     return f"exit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
 
 
-@pytest.mark.parametrize("command, preset", CASES, ids=[_slug(*c) for c in CASES])
-def test_frozen_output(command, preset, tmp_path):
-    slug = _slug(command, preset)
+@pytest.mark.parametrize("slug, argv", CASES, ids=[slug for slug, _ in CASES])
+def test_frozen_output(slug, argv, tmp_path):
     json_path = tmp_path / "payload.json"
-    assert _run(command, preset, json_path) == (DATA / f"{slug}.txt").read_text(encoding="utf-8")
+    assert _run(argv, json_path) == (DATA / f"{slug}.txt").read_text(encoding="utf-8")
     assert json_path.read_bytes() == (DATA / f"{slug}.json").read_bytes()
 
 
 def _record():
     DATA.mkdir(parents=True, exist_ok=True)
-    for command, preset in CASES:
-        slug = _slug(command, preset)
-        text = _run(command, preset, DATA / f"{slug}.json")
+    for slug, argv in CASES:
+        text = _run(argv, DATA / f"{slug}.json")
         (DATA / f"{slug}.txt").write_text(text, encoding="utf-8")
         print(f"recorded {slug}", file=sys.stderr)
 
