@@ -1,5 +1,10 @@
 """Exact linear algebra over the scalar field (LaurentFraction entries).
 
+Callers that hold term dicts pose their systems through ``solve_in_span``:
+the columns and the target are sparse vectors {row key: scalar}, and the
+rows of the system are the sorted union of their keys.  It builds the rows
+and solves them with ``solve_affine``.
+
 One sparse Gauss-Jordan routine, ``_rref``, serves ``solve_affine``,
 ``nullspace`` and ``rank``.  Rows are dicts {column: entry} without zero
 entries, so elimination touches only nonzeros.  Pivots are chosen for cost:
@@ -81,6 +86,11 @@ def solve_affine(A, b, space):
     pivots = _rref([_sparse(list(row) + [bv]) for row, bv in zip(A, b)], n + 1)
     if pivots and pivots[-1][0] == n:
         return None
+    return _solution(pivots, n, space)
+
+
+def _solution(pivots, n, space):
+    """(particular, nullspace_basis) of a reduced consistent system over n unknowns."""
     zero = LaurentFraction.zero(space)
     particular = [zero] * n
     for c, row in pivots:
@@ -99,21 +109,29 @@ def solve_affine(A, b, space):
     return particular, basis
 
 
+def solve_in_span(columns, target, space):
+    """All t with sum(t[j] * columns[j]) = target.
+
+    Columns and target are sparse vectors, dicts {row key: scalar} with
+    sortable keys; the rows of the system are the sorted union of the keys.
+    Returns (particular, nullspace_basis) as ``solve_affine`` does, or None
+    when the target lies outside the span.  There are len(columns) unknowns,
+    all of them free when no row is left.
+    """
+    keys = sorted(set(target).union(*columns))
+    if not keys:
+        return _solution([], len(columns), space)
+    zero = LaurentFraction.zero(space)
+    rows = [[col.get(key, zero) for col in columns] for key in keys]
+    return solve_affine(rows, [target.get(key, zero) for key in keys], space)
+
+
 def nullspace(A, space, n=None):
     if not A:
         if n is None:
             raise ValueError("need the number of unknowns for an empty system")
-        basis = []
-        one = LaurentFraction.one(space)
-        zero = LaurentFraction.zero(space)
-        for i in range(n):
-            vec = [zero] * n
-            vec[i] = one
-            basis.append(vec)
-        return basis
-    zero = LaurentFraction.zero(space)
-    res = solve_affine(A, [zero] * len(A), space)
-    return res[1]
+        return _solution([], n, space)[1]
+    return solve_affine(A, [LaurentFraction.zero(space)] * len(A), space)[1]
 
 
 def rank(A, space):

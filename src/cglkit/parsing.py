@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import pbw
-from .errors import DivisionByZero, ParseError, UnknownGenerator
+from .errors import ParseError, UnknownGenerator
 from .scalars import LaurentFraction, _monomial_str, _poly_str, _term_sort_key
 
 
@@ -197,10 +197,12 @@ class _ScalarParser(_Parser):
 
     def divide(self, lhs, rhs, tok):
         if rhs.is_zero:
-            raise DivisionByZero(f"division by zero at position {tok.pos}")
+            self.fail("division by zero", tok)
         return lhs / rhs
 
     def raise_power(self, value, exponent, tok):
+        if exponent < 0 and value.is_zero:
+            self.fail("division by zero", tok)
         return value**exponent
 
 
@@ -234,12 +236,14 @@ class _PolyParser(_Parser):
         if scalar is None:
             self.fail("can only divide by a scalar", tok)
         if scalar.is_zero:
-            raise DivisionByZero(f"division by zero at position {tok.pos}")
+            self.fail("division by zero", tok)
         return lhs.scale(scalar.inverse())
 
     def raise_power(self, value, exponent, tok):
         scalar = value.as_constant()
         if scalar is not None:
+            if exponent < 0 and scalar.is_zero:
+                self.fail("division by zero", tok)
             return self._const(scalar**exponent)
         if exponent < 0:
             self.fail("generators only take nonnegative powers", tok)

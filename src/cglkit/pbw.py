@@ -88,14 +88,6 @@ class PBWPolynomial:
                     out.add(i)
         return out
 
-    def max_index(self):
-        """Largest generator index in the support, or -1 for constants."""
-        sup = self.support()
-        return max(sup) if sup else -1
-
-    def constant_part(self) -> LaurentFraction:
-        return self.terms.get((0,) * self.N, LaurentFraction.zero(self.space))
-
     def as_constant(self):
         """The scalar value if this is a constant polynomial, else None."""
         if self.is_zero:
@@ -103,9 +95,6 @@ class PBWPolynomial:
         if len(self.terms) == 1 and (0,) * self.N in self.terms:
             return self.terms[(0,) * self.N]
         return None
-
-    def total_degree(self):
-        return max((sum(m) for m in self.terms), default=0)
 
     # -- linear arithmetic (no presentation needed) --
 

@@ -35,10 +35,11 @@ from .scalars import LaurentFraction, ParameterSpace, SignedMonomial, _power_pro
 _GEN_RE = re.compile(r"x([1-9][0-9]*)\Z")
 
 
-def _count(value, name) -> int:
+def _integer(value, name, nonnegative=False) -> int:
     # int() would truncate 2.5 and accept true; bool is an int subclass
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise MalformedPresentation(f"{name} must be a nonnegative integer")
+    if not isinstance(value, int) or isinstance(value, bool) or (nonnegative and value < 0):
+        kind = "a nonnegative integer" if nonnegative else "an integer"
+        raise MalformedPresentation(f"{name} must be {kind}")
     return value
 
 
@@ -87,9 +88,15 @@ class CGLPresentation:
                 raise MalformedPresentation("h_star rows must be N x rank")
         if torus.pi is not None and len(torus.pi) != torus.rank:
             raise MalformedPresentation("pi must have length torus.rank")
+        self._set_Q(Q)
+        self._lam_frac = {}
+        self._degrees = -1  # sentinel: not computed
+
+    def _set_Q(self, Q):
+        """Check and attach the Q-data, and empty the caches that depend on it."""
         self.Q = {}
         for (k, j), poly in Q.items():
-            if not (0 <= j < k < N):
+            if not (0 <= j < k < self.N):
                 raise MalformedPresentation(f"Q index {(k, j)} out of range")
             if poly is None or poly.is_zero:
                 continue
@@ -98,11 +105,8 @@ class CGLPresentation:
                     f"Q[{k},{j}] must lie in the subalgebra on x1..x{k}"
                 )
             self.Q[(k, j)] = poly
-        # caches
-        self._lam_frac = {}
         self._qhat = {}
         self.pair_cache = {}
-        self._degrees = -1  # sentinel: not computed
 
     # -- construction helpers --
 
@@ -120,9 +124,6 @@ class CGLPresentation:
 
     # -- engine hooks --
 
-    def lam_entry(self, k, j) -> SignedMonomial:
-        return self.lam[k][j]
-
     def lam_fraction(self, k, j) -> LaurentFraction:
         key = (k, j)
         out = self._lam_frac.get(key)
@@ -130,10 +131,6 @@ class CGLPresentation:
             out = self.lam[k][j].to_fraction()
             self._lam_frac[key] = out
         return out
-
-    def q_entry(self, k, j):
-        """Q_{kj} for k > j, or None when zero."""
-        return self.Q.get((k, j))
 
     def qhat(self, u, v):
         """Lower-order term of x_u x_v = lam_{uv} x_v x_u + Qhat for any u != v."""
@@ -279,17 +276,19 @@ class CGLPresentation:
 
         try:
             names = tuple(data["params"])
-            N = _count(data["N"], "N")
+            N = _integer(data["N"], "N", nonnegative=True)
             lam_rows = [list(row) for row in data["lambda"]]
             q_items = list(data.get("Q", {}).items())
             torus_obj = data["torus"]
-            rank = _count(torus_obj["rank"], "torus.rank")
-            chi = [tuple(int(c) for c in row) for row in torus_obj["chi"]]
+            rank = _integer(torus_obj["rank"], "torus.rank", nonnegative=True)
+            chi = [tuple(_integer(c, "chi entry") for c in row) for row in torus_obj["chi"]]
             h_rows = [list(row) for row in torus_obj["h"]]
             h_star_rows = None
             if "h_star" in torus_obj:
                 h_star_rows = [list(row) for row in torus_obj["h_star"]]
-            pi = tuple(int(v) for v in torus_obj["pi"]) if "pi" in torus_obj else None
+            pi = None
+            if "pi" in torus_obj:
+                pi = tuple(_integer(v, "pi entry") for v in torus_obj["pi"])
             space = ParameterSpace(names)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise MalformedPresentation(f"missing or malformed field: {exc}") from exc
@@ -325,7 +324,8 @@ class CGLPresentation:
             h_star = [tuple(scalar_mono(v) for v in row) for row in h_star_rows]
         torus = TorusData(rank=rank, chi=chi, h=h, h_star=h_star, pi=pi)
 
-        shell = cls.build(
+        # the Q text is parsed against the presentation it becomes part of
+        out = cls.build(
             space, N, lower, {}, torus, name=data.get("name") or None, fuel_factor=fuel_factor
         )
         Q = {}
@@ -337,16 +337,8 @@ class CGLPresentation:
                 raise MalformedPresentation(f"bad Q key {key!r}") from exc
             if not (0 <= j < k < N):
                 raise MalformedPresentation(f"Q key {key!r} is not strictly lower")
-            Q[(k, j)] = shell.parse(str(text), normalize=False)
-        out = cls.build(
-            space,
-            N,
-            lower,
-            Q,
-            torus,
-            name=data.get("name") or None,
-            fuel_factor=fuel_factor,
-        )
+            Q[(k, j)] = out.parse(str(text), normalize=False)
+        out._set_Q(Q)
         out.file_issues = issues
         return out
 
@@ -378,26 +370,18 @@ def validate_cgl(P: CGLPresentation) -> ValidationReport:
     ok = all(P.lam[k][k] == one for k in range(P.N))
     detail = "" if ok else "diagonal entries must equal 1"
     bad_skew = [
-        (k, j)
+        (k + 1, j + 1)
         for k in range(P.N)
         for j in range(k)
         if not (P.lam[k][j] * P.lam[j][k]).is_one
     ]
     report.add("lambda diagonal", ok, detail)
-    report.add(
-        "lambda multiplicative skew-symmetry",
-        not bad_skew,
-        "" if not bad_skew else f"failing pairs {[(k + 1, j + 1) for k, j in bad_skew]}",
-    )
+    report.check("lambda multiplicative skew-symmetry", bad_skew, "failing pairs")
 
     bad_support = [
-        (k, j) for (k, j), poly in P.Q.items() if not pbw.supported_below(poly, k)
+        (k + 1, j + 1) for (k, j), poly in P.Q.items() if not pbw.supported_below(poly, k)
     ]
-    report.add(
-        "Q confined to prefix subalgebras",
-        not bad_support,
-        "" if not bad_support else f"failing pairs {[(k + 1, j + 1) for k, j in bad_support]}",
-    )
+    report.check("Q confined to prefix subalgebras", bad_support, "failing pairs")
 
     bad_char = []
     for (k, j), poly in P.Q.items():
@@ -405,11 +389,7 @@ def validate_cgl(P: CGLPresentation) -> ValidationReport:
         got = pbw.homogeneous_character(poly, P)
         if got != want:
             bad_char.append((k + 1, j + 1))
-    report.add(
-        "Q homogeneous of character chi_k + chi_j",
-        not bad_char,
-        "" if not bad_char else f"failing pairs {bad_char}",
-    )
+    report.check("Q homogeneous of character chi_k + chi_j", bad_char, "failing pairs")
 
     # axiom (iii): the torus covers each sigma_k, with non-root-of-unity weight
     bad_eig = []
@@ -421,15 +401,11 @@ def validate_cgl(P: CGLPresentation) -> ValidationReport:
                 bad_eig.append((k + 1, j + 1))
         if P.torus.eigenvalue(P.torus.chi[k], hk).is_root_of_unity():
             bad_root.append(k + 1)
-    report.add(
-        "axiom (iii): chi_{x_j}(h_k) = lambda_{kj}",
-        not bad_eig,
-        "" if not bad_eig else f"failing (k, j) {bad_eig}",
-    )
-    report.add(
+    report.check("axiom (iii): chi_{x_j}(h_k) = lambda_{kj}", bad_eig, "failing (k, j)")
+    report.check(
         "axiom (iii): lambda_k = chi_{x_k}(h_k) not a root of unity",
-        not bad_root,
-        "" if not bad_root else f"failing k {bad_root}",
+        bad_root,
+        "failing k",
     )
 
     # axiom (ii): local nilpotency of delta_k, bounded iteration
@@ -457,11 +433,7 @@ def validate_cgl(P: CGLPresentation) -> ValidationReport:
                     nil_fail.append((k + 1, j + 1))
             except DivergenceBudgetExceeded:
                 nil_fail.append((k + 1, j + 1))
-    report.add(
-        "axiom (ii): each delta_k locally nilpotent",
-        not nil_fail,
-        "" if not nil_fail else f"failing (k, j) {nil_fail}",
-    )
+    report.check("axiom (ii): each delta_k locally nilpotent", nil_fail, "failing (k, j)")
 
     # consistency of the rewriting data: associativity on generator triples
     assoc_fail = []
@@ -478,10 +450,10 @@ def validate_cgl(P: CGLPresentation) -> ValidationReport:
     except DivergenceBudgetExceeded as exc:
         report.add("rewriting consistency on generator triples", False, str(exc))
     else:
-        report.add(
+        report.check(
             "rewriting consistency on generator triples",
-            not assoc_fail,
-            "" if not assoc_fail else f"failing triples {assoc_fail[:5]}",
+            assoc_fail[:5],
+            "failing triples",
         )
     return report
 
@@ -495,11 +467,7 @@ def validate_symmetric(P: CGLPresentation) -> ValidationReport:
         raise MissingHStar("presentation carries no h*-data")
     report = ValidationReport(subject=f"symmetric conditions for {P.name or 'presentation'}")
     bad_support = [(k + 1, j + 1) for k, j in _q_not_between(P)]
-    report.add(
-        "Q supported strictly between j and k",
-        not bad_support,
-        "" if not bad_support else f"failing pairs {bad_support}",
-    )
+    report.check("Q supported strictly between j and k", bad_support, "failing pairs")
     bad_eig = []
     bad_root = []
     for j in range(P.N):
@@ -509,16 +477,8 @@ def validate_symmetric(P: CGLPresentation) -> ValidationReport:
                 bad_eig.append((j + 1, k + 1))
         if P.torus.eigenvalue(P.torus.chi[j], hs).is_root_of_unity():
             bad_root.append(j + 1)
-    report.add(
-        "h*: chi_{x_k}(h*_j) = lambda_{jk}",
-        not bad_eig,
-        "" if not bad_eig else f"failing (j, k) {bad_eig}",
-    )
-    report.add(
-        "h*: weight chi_{x_j}(h*_j) not a root of unity",
-        not bad_root,
-        "" if not bad_root else f"failing j {bad_root}",
-    )
+    report.check("h*: chi_{x_k}(h*_j) = lambda_{jk}", bad_eig, "failing (j, k)")
+    report.check("h*: weight chi_{x_j}(h*_j) not a root of unity", bad_root, "failing j")
     return report
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 
 from .errors import UnknownPreset
-from .linalg import solve_affine
+from .linalg import solve_in_span
 from .pbw import PBWPolynomial
 from .presentation import CGLPresentation, TorusData
 from .scalars import LaurentFraction, ParameterSpace, SignedMonomial
@@ -199,19 +199,7 @@ def _in_span_coeff(space, target, scaled_term, span):
     All arguments are free-algebra elements (word dicts).  The span elements
     enter with free coefficients; c must be unique.
     """
-    words = set(target) | set(scaled_term)
-    for el in span:
-        words |= set(el)
-    words = sorted(words)
-    zero = LaurentFraction.zero(space)
-    rows = []
-    rhs = []
-    for w in words:
-        rows.append(
-            [scaled_term.get(w, zero)] + [el.get(w, zero) for el in span]
-        )
-        rhs.append(target.get(w, zero))
-    solved = solve_affine(rows, rhs, space)
+    solved = solve_in_span([scaled_term, *span], target, space)
     if solved is None:
         return None
     particular, null_basis = solved

@@ -30,10 +30,10 @@ from .lattice import (
     smith_invariant_factors,
     solve_rational,
 )
-from .linalg import solve_affine
+from .linalg import solve_in_span
 from .pbw import PBWPolynomial
 from .reporting import ValidationReport
-from .scalars import LaurentFraction, SignedMonomial
+from .scalars import SignedMonomial
 
 
 @dataclass
@@ -169,27 +169,6 @@ def monomials_of_degree(P, d, top=None):
     return _monomials(P, degs, d, top, ())
 
 
-def _solve_membership(P, columns, target):
-    """Coefficients c with sum(c_t * columns[t]) = target, or None.
-
-    columns and target are term dicts (monomial -> scalar); the system is
-    solved exactly over the scalar field.  Returns (coefficients, unique)
-    where unique is False when the solution space is positive-dimensional.
-    """
-    monos = set(target)
-    for col in columns:
-        monos |= set(col)
-    monos = sorted(monos)
-    zero = LaurentFraction.zero(P.space)
-    rows = [[col.get(m, zero) for col in columns] for m in monos]
-    rhs = [target.get(m, zero) for m in monos]
-    solved = solve_affine(rows, rhs, P.space)
-    if solved is None:
-        return None
-    particular, null_basis = solved
-    return particular, not null_basis
-
-
 def _solve_predecessor(P, y_j, chain_j, k, target_chi):
     """Candidate c for y = y_j x_k - c normal in the prefix subalgebra.
 
@@ -217,11 +196,11 @@ def _solve_predecessor(P, y_j, chain_j, k, target_chi):
     stacked_cols = [_stack(rows) for rows in col_rows]
     if not columns:
         return None if stacked_target else PBWPolynomial.zero(P.space, P.N)
-    solved = _solve_membership(P, stacked_cols, stacked_target)
+    solved = solve_in_span(stacked_cols, stacked_target, P.space)
     if solved is None:
         return None
-    coeffs, unique = solved
-    if not unique:
+    coeffs, null_basis = solved
+    if null_basis:
         raise AmbiguousPredecessor(
             f"multiple homogeneous c solve the normality system at k = {k + 1}"
         )
@@ -376,11 +355,7 @@ def verify_quantum_affine(P, T: YElementTable) -> ValidationReport:
             rhs = P.mul(T.y[j], T.y[k]).scale(T.qmat[k][j].to_fraction())
             if lhs != rhs:
                 bad.append((k + 1, j + 1))
-    report.add(
-        "y_k y_j = q_kj y_j y_k for all pairs",
-        not bad,
-        "" if not bad else f"failing pairs {bad}",
-    )
+    report.check("y_k y_j = q_kj y_j y_k for all pairs", bad, "failing pairs")
     return report
 
 
@@ -503,11 +478,10 @@ def _divide_in_span(P, left, target, basis):
     if not basis:
         return None
     columns = [P.mul(left, PBWPolynomial(P.space, P.N, {m: 1})).terms for m in basis]
-    solved = _solve_membership(P, columns, target.terms)
+    solved = solve_in_span(columns, target.terms, P.space)
     if solved is None:
         return None
-    coeffs, _ = solved
-    terms = {m: c for m, c in zip(basis, coeffs) if not c.is_zero}
+    terms = {m: c for m, c in zip(basis, solved[0]) if not c.is_zero}
     return PBWPolynomial(P.space, P.N, terms)
 
 
@@ -544,7 +518,7 @@ def irreducibility_probe(P, T: YElementTable, k):
                 columns = [
                     P.mul(PBWPolynomial(P.space, P.N, {m: 1}), right).terms for m in B1
                 ]
-                if _solve_membership(P, columns, y.terms) is not None:
+                if solve_in_span(columns, y.terms, P.space) is not None:
                     return False, complete
             else:
                 complete = False

@@ -25,6 +25,13 @@ class ValidationReport:
         self.checks.append(CheckResult(name, bool(passed), detail))
         return self
 
+    def check(self, name, failures, label):
+        """Add a check that passes when ``failures`` is empty.
+
+        A failing check's detail is the label followed by the failures.
+        """
+        return self.add(name, not failures, f"{label} {failures}" if failures else "")
+
     def warn(self, message):
         self.warnings.append(message)
         return self

@@ -12,7 +12,8 @@ Two representations live here:
   a fast path: ``+``, ``-``, ``*`` and unary minus of two Laurent
   polynomials build their result straight from the sparse-dict product or
   sum, with no cleaning, GCD or content work, and ``==`` compares the
-  numerator dicts.  True quotients (``len(den) > 1``) take the general path.
+  numerator dicts.  True quotients (``len(den) > 1``) take the general path,
+  except for unary minus, which negates the numerator of the reduced value.
   Its GCD is skipped when len(num) * len(den) exceeds 4096, so equal
   quotients need not be identical, and ``==`` decides them by
   cross-multiplication.
@@ -330,12 +331,13 @@ class LaurentFraction:
 
     @classmethod
     def _trusted(cls, space, num, den):
-        """Build a Laurent polynomial without ``_dict_clean`` or ``_reduce``.
+        """Build a value from a reduced num/den without ``_dict_clean`` or ``_reduce``.
 
-        ``den`` is the constant 1 and ``num`` is canonical, or a
-        ``_dict_add``/``_dict_mul``/``_dict_neg`` result of canonical dicts:
-        zero-free, and integral only where Fraction arithmetic landed on an
-        integer, which is turned back into an int here.
+        Either ``den`` is the constant 1 and ``num`` is canonical or a
+        ``_dict_add``/``_dict_mul``/``_dict_neg`` result of canonical dicts
+        (zero-free, and integral only where Fraction arithmetic landed on an
+        integer, which is turned back into an int here), or num/den is the
+        negation of a reduced quotient.
         """
         for e, c in num.items():
             if type(c) is Fraction and c.denominator == 1:
@@ -461,9 +463,9 @@ class LaurentFraction:
     __radd__ = __add__
 
     def __neg__(self):
-        if self.is_laurent:
-            return LaurentFraction._trusted(self.space, _dict_neg(self.num), self.den)
-        return LaurentFraction(self.space, _dict_neg(self.num), dict(self.den))
+        # -num/den is reduced when num/den is: negating num changes neither the
+        # gcd, the content, the monomial shift nor the sign of den's lead term
+        return LaurentFraction._trusted(self.space, _dict_neg(self.num), self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -617,10 +619,6 @@ class SignedMonomial:
         exps = [0] * space.m
         exps[space.index(name)] = power
         return cls(space, Fraction(1), tuple(exps))
-
-    @classmethod
-    def from_fraction(cls, value: LaurentFraction) -> "SignedMonomial":
-        return value.as_monomial()
 
     def __mul__(self, other):
         if isinstance(other, SignedMonomial):

@@ -113,22 +113,14 @@ def verify_nakayama_by_normal_element(
         rhs = P.mul(u, P.x(k)).scale(nu.eigenvalues[k].to_fraction())
         if lhs != rhs:
             bad.append(k + 1)
-    report.add(
-        "x_k u = u nu(x_k) for every generator",
-        not bad,
-        "" if not bad else f"failing k {bad}",
-    )
+    report.check("x_k u = u nu(x_k) for every generator", bad, "failing k")
     bad_beta = []
     one = SignedMonomial.one(P.space)
     for k in range(P.N):
         beta = prod((T.alpha[k][l] for l in finals), start=one)
         if beta != nu.eigenvalues[k]:
             bad_beta.append(k + 1)
-    report.add(
-        "beta_k = prod_j lambda_kj for every generator",
-        not bad_beta,
-        "" if not bad_beta else f"failing k {bad_beta}",
-    )
+    report.check("beta_k = prod_j lambda_kj for every generator", bad_beta, "failing k")
     return report
 
 

@@ -72,6 +72,31 @@ def test_validate_malformed_file_is_a_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_division_by_zero_in_file_text_is_a_parse_error(tmp_path, capsys):
+    data = json.loads(parse_preset_spec("quantum-affine:3").to_json())
+    for path in [("lambda", 1, 0), ("torus", "h", 0, 0), ("Q",)]:
+        bad = json.loads(json.dumps(data))
+        target = bad
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = {"2,1": "1/0"} if path == ("Q",) else "1/0"
+        f = tmp_path / "zero.json"
+        f.write_text(json.dumps(bad))
+        assert main(["validate", str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: division by zero (line 1, column 2)\n  1/0\n   ^\n"
+    endo = write_endo(tmp_path, ["x1/0", "x2", "x3"])
+    assert main(["audit-endo", endo, "--preset", "quantum-affine:3"]) == 2
+    assert capsys.readouterr().err == "error: division by zero (line 1, column 3)\n  x1/0\n    ^\n"
+    # a negative power of zero divides by zero as well
+    endo = write_endo(tmp_path, ["x1", "x2", "(q - q)^-1*x3"])
+    assert main(["audit-endo", endo, "--preset", "quantum-affine:3"]) == 2
+    assert capsys.readouterr().err.startswith("error: division by zero (line 1, column 1)")
+    f.write_text(json.dumps(data).replace('"q^-1"', '"0^-1"', 1))
+    assert main(["validate", str(f)]) == 2
+    assert capsys.readouterr().err.startswith("error: division by zero (line 1, column 1)")
+
+
 class _ClosedPipe(io.TextIOBase):
     """A stdout whose reader has gone away, backed by a real descriptor."""
 

@@ -1,13 +1,14 @@
 """Frozen outputs of the commands whose work is exact linear solves.
 
-``y-elements``, ``core``, ``saturation`` and ``verify-nakayama`` all solve the
-y-element normality systems; uq-sl3 also has quotient scalars and solves
-through ``presets._in_span_coeff`` when it is built.  ``centralizer`` solves
-for a centralizer eigenspace and ``audit-endo`` inverts the degree-zero part
-of an endomorphism, both through ``linalg.solve_in_span``; ``validate`` and
-``y-elements`` on files written by ``preset emit`` load each presentation
-through ``CGLPresentation.from_json_dict``.  Each case replays one argument
-list through ``cli.main`` and compares stdout, stderr, the exit code and the
+Every linear system over the scalars is posed through ``linalg.solve_in_span``.
+``y-elements``, ``core``, ``saturation`` and ``verify-nakayama`` solve the
+y-element normality systems; uq-sl3 has quotient scalars, and building it
+solves its Serre reduction.  ``centralizer`` solves for a centralizer eigenspace,
+and ``audit-endo`` inverts the degree-zero part of an endomorphism.
+``validate`` and ``y-elements`` on files written by ``preset emit``, and
+``validate`` on one broken file, load each presentation through
+``CGLPresentation.from_json_dict``.  Each case replays one argument list
+through ``cli.main`` and compares stdout, stderr, the exit code and the
 ``--json`` payload byte for byte with the files in ``tests/data/frozen``.
 The input files the cases read are kept in ``tests/data/frozen/inputs``.
 
@@ -53,15 +54,14 @@ def _cases():
         ("uq-sl3", "x2", "1"),
         ("uq-sl3", "x2", "0"),
     ]:
-        cases.append((_slug("centralizer", preset, gen, s), ["centralizer", gen, s, "--preset", preset]))
+        argv = ["centralizer", gen, s, "--preset", preset]
+        cases.append((_slug("centralizer", preset, gen, s), argv))
     # quantum-affine:3 endomorphisms: the README shear, the identity, a
     # diagonal map, the diagonal map after the shear, a map that breaks a
     # relation and one whose degree-zero part is singular
     for name in ["shear", "identity", "diagonal", "diagonal-shear", "breaking", "singular"]:
-        endo = INPUTS / f"endo_{name}.json"
-        cases.append(
-            (_slug("audit-endo", "quantum-affine:3", name), ["audit-endo", endo, "--preset", "quantum-affine:3"])
-        )
+        argv = ["audit-endo", INPUTS / f"endo_{name}.json", "--preset", "quantum-affine:3"]
+        cases.append((_slug("audit-endo", "quantum-affine:3", name), argv))
     # files written by `cgl preset emit --preset <spec> --json <file>`
     for preset in ["uq-sl3", "multiparam-matrices:2", "quantum-plane-minus-one"]:
         path = INPUTS / f"{_slug('preset', preset)}.json"
@@ -70,7 +70,8 @@ def _cases():
     # oq-matrices:2,2 with a diagonal lambda entry, a lower lambda entry, a Q
     # term and an h* entry changed, so that most checks report failures
     broken = "oq-matrices:2,2-broken"
-    cases.append((_slug("validate", "file", broken), ["validate", INPUTS / f"{_slug('preset', broken)}.json"]))
+    argv = ["validate", INPUTS / f"{_slug('preset', broken)}.json"]
+    cases.append((_slug("validate", "file", broken), argv))
     return cases
 
 

@@ -1,4 +1,5 @@
-"""Exact linear solves over Q(q_1,...,q_m): solve_affine, nullspace, rank.
+"""Exact linear solves over Q(q_1,...,q_m): solve_affine, solve_in_span,
+nullspace, rank.
 
 The random systems are sparse rows plus combinations of them, with Laurent
 entries in one and two parameters and some true quotients.  Every answer is checked against the system itself, and
@@ -10,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from cglkit.linalg import _rref, nullspace, rank, solve_affine
+from cglkit.linalg import _rref, nullspace, rank, solve_affine, solve_in_span
 from cglkit.scalars import LaurentFraction, ParameterSpace
 
 SP = ParameterSpace(("q",))
@@ -97,6 +98,10 @@ def test_random_system(space, seed):
         particular, solution_basis = result
         assert mat_vec(A, particular, space) == b
         assert render(solution_basis) == render(basis)
+    # the same system posed as sparse column vectors keyed by row index
+    columns = [{i: row[j] for i, row in enumerate(A) if not row[j].is_zero} for j in range(n)]
+    target = {i: bv for i, bv in enumerate(b) if not bv.is_zero}
+    assert render_solution(solve_in_span(columns, target, space)) == render_solution(result)
     # the row order, and so the pivot order, cannot change any result
     for _ in range(3):
         order = list(range(len(A)))
@@ -134,6 +139,17 @@ def test_small_cases():
     # q t0 + t1 = 1 and (q + 1) t0 = q + 1: t0 = 1, t1 = 1 - q
     particular, basis = solve_affine([[q, one], [q + 1, zero]], [one, q + 1], SP)
     assert particular == [one, one - q] and basis == []
+
+
+def test_solve_in_span_without_rows():
+    q = LaurentFraction.parameter(SP, "q")
+    zero, one = LaurentFraction.zero(SP), LaurentFraction.one(SP)
+    # every unknown is free when no column and no target has an entry
+    assert solve_in_span([{}, {}], {}, SP) == ([zero, zero], [[one, zero], [zero, one]])
+    assert solve_in_span([], {"x": q}, SP) is None
+    assert solve_in_span([], {}, SP) == ([], [])
+    # the rows are the sorted union of the keys: t0 * (q, 1) + t1 * (0, 1) = (q, 0)
+    assert solve_in_span([{"b": one, "a": q}, {"b": one}], {"a": q}, SP) == ([one, -one], [])
 
 
 def test_pivot_prefers_the_cheapest_entry():

@@ -129,6 +129,14 @@ def test_malformed_inputs():
         (bad["torus"] if field == "rank" else bad)[field] = value
         with pytest.raises(MalformedPresentation, match=f"{field} must be a nonnegative integer"):
             CGLPresentation.from_json_dict(bad)
+    # torus chi and pi entries must be JSON integers too; negatives are allowed
+    for field in ["chi", "pi"]:
+        for value in [1.5, 1.9, True, False, "1"]:
+            bad = json.loads(P.to_json())
+            row = bad["torus"][field]
+            (row[0] if field == "chi" else row)[0] = value
+            with pytest.raises(MalformedPresentation, match=f"{field} entry must be an integer"):
+                CGLPresentation.from_json_dict(bad)
 
 
 def test_q_entry_must_live_below_its_row():
