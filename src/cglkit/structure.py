@@ -96,30 +96,38 @@ def nakayama_automorphism(P: CGLPresentation) -> DiagonalMap:
 def verify_nakayama_by_normal_element(
     P: CGLPresentation, T: YElementTable, nu: DiagonalMap
 ) -> ValidationReport:
-    """Realize nu by conjugation: x_k u = nu(x_k) u for u the product of primes.
+    """Realize nu by conjugation: x_k u = u nu(x_k) for u the product of primes.
 
-    u is the ordered product of the final y's (increasing index).  Separately
-    checks the scalar identity beta_k = prod_j lambda_kj, where beta_k is the
-    product of alpha_{k,l} over the final indices l.
+    u = y_{l1}...y_{lr} is the ordered product of the final y's (increasing
+    index), and beta_k is the product of alpha_{k,l} over the final l.  Each
+    final y_l is normal on its own, x_k y_l = alpha_{k,l} y_l x_k, and scalars
+    are central, so these r factor identities give x_k u = beta_k u x_k; when
+    they hold and beta_k = nu_k, x_k u = u nu(x_k) is proved without u.  Any
+    other k is decided on u itself, built once when first needed, so every
+    failure rests on the full product.  Separately checks the scalar identity
+    beta_k = prod_j lambda_kj, that is beta_k = nu_k.
     """
     report = ValidationReport(subject=f"Nakayama via normal element for {P.name or 'presentation'}")
     finals = T.finals()
-    u = P.one()
-    for l in finals:
-        u = P.mul(u, T.y[l])
+    one = SignedMonomial.one(P.space)
+    betas = [prod((T.alpha[k][l] for l in finals), start=one) for k in range(P.N)]
+    u = None
     bad = []
     for k in range(P.N):
-        lhs = P.mul(P.x(k), u)
-        rhs = P.mul(u, P.x(k)).scale(nu.eigenvalues[k].to_fraction())
-        if lhs != rhs:
+        x = P.x(k)
+        if betas[k] == nu.eigenvalues[k] and all(
+            P.mul(x, T.y[l]) == P.mul(T.y[l], x).scale(T.alpha[k][l].to_fraction())
+            for l in finals
+        ):
+            continue
+        if u is None:
+            u = P.one()
+            for l in finals:
+                u = P.mul(u, T.y[l])
+        if P.mul(x, u) != P.mul(u, x).scale(nu.eigenvalues[k].to_fraction()):
             bad.append(k + 1)
     report.check("x_k u = u nu(x_k) for every generator", bad, "failing k")
-    bad_beta = []
-    one = SignedMonomial.one(P.space)
-    for k in range(P.N):
-        beta = prod((T.alpha[k][l] for l in finals), start=one)
-        if beta != nu.eigenvalues[k]:
-            bad_beta.append(k + 1)
+    bad_beta = [k + 1 for k in range(P.N) if betas[k] != nu.eigenvalues[k]]
     report.check("beta_k = prod_j lambda_kj for every generator", bad_beta, "failing k")
     return report
 

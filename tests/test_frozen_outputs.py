@@ -12,8 +12,11 @@ through ``cli.main`` and compares stdout, stderr, the exit code and the
 ``--json`` payload byte for byte with the files in ``tests/data/frozen``.
 The input files the cases read are kept in ``tests/data/frozen/inputs``.
 
-To record the files again (only when an output change is intended), run
-``PYTHONPATH=src python tests/test_frozen_outputs.py``.
+To record the files of some cases, for instance of a case just added, run
+``PYTHONPATH=src python tests/test_frozen_outputs.py <slug> [<slug> ...]``;
+only the named cases are written, so adding a case never rewrites the files
+of the others.  With no argument every case is recorded again, which is only
+for an intended output change.
 """
 
 import contextlib
@@ -45,6 +48,9 @@ def _cases():
     ]:
         for command in ["y-elements", "core", "saturation", "verify-nakayama"]:
             cases.append((_slug(command, preset), [command, "--preset", preset]))
+    # N = 12 and N = 16 certificates, recorded with the full-product check
+    for preset in ["oq-matrices:3,4", "oq-matrices:4,4", "multiparam-matrices:4"]:
+        cases.append((_slug("verify-nakayama", preset), ["verify-nakayama", "--preset", preset]))
     for preset, gen, s in [
         ("oq-matrices:2,2", "x1", "1"),
         ("oq-matrices:2,3", "x3", "0"),
@@ -93,13 +99,20 @@ def test_frozen_output(slug, argv, tmp_path):
     assert json_path.read_bytes() == (DATA / f"{slug}.json").read_bytes()
 
 
-def _record():
+def _record(slugs):
+    """Record the named cases, or every case when ``slugs`` is empty."""
+    known = {slug for slug, _ in CASES}
+    unknown = [slug for slug in slugs if slug not in known]
+    if unknown:
+        sys.exit(f"unknown case: {' '.join(unknown)}")
     DATA.mkdir(parents=True, exist_ok=True)
     for slug, argv in CASES:
+        if slugs and slug not in slugs:
+            continue
         text = _run(argv, DATA / f"{slug}.json")
         (DATA / f"{slug}.txt").write_text(text, encoding="utf-8")
         print(f"recorded {slug}", file=sys.stderr)
 
 
 if __name__ == "__main__":
-    _record()
+    _record(sys.argv[1:])

@@ -1,6 +1,8 @@
 """Nakayama automorphisms and core decompositions."""
 
+import dataclasses
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -14,6 +16,7 @@ from cglkit.presentation import (
 )
 from cglkit.presets import parse_preset_spec
 from cglkit.primes import compute_y_elements, rank_of
+from cglkit.reporting import ValidationReport
 from cglkit.scalars import ParameterSpace, SignedMonomial
 from cglkit.structure import (
     DiagonalMap,
@@ -99,6 +102,79 @@ def test_nakayama_verified_by_normal_element(spec):
     nu = nakayama_automorphism(P)
     report = verify_nakayama_by_normal_element(P, T, nu)
     assert report.passed, str(report)
+
+
+def full_product_nakayama_report(P, T, nu):
+    """Reference verifier that builds u and checks every k on it."""
+    report = ValidationReport(subject=f"Nakayama via normal element for {P.name or 'presentation'}")
+    finals = T.finals()
+    u = P.one()
+    for l in finals:
+        u = P.mul(u, T.y[l])
+    bad = [
+        k + 1
+        for k in range(P.N)
+        if P.mul(P.x(k), u) != P.mul(u, P.x(k)).scale(nu.eigenvalues[k].to_fraction())
+    ]
+    report.check("x_k u = u nu(x_k) for every generator", bad, "failing k")
+    one = SignedMonomial.one(P.space)
+    bad_beta = [
+        k + 1
+        for k in range(P.N)
+        if prod((T.alpha[k][l] for l in finals), start=one) != nu.eigenvalues[k]
+    ]
+    report.check("beta_k = prod_j lambda_kj for every generator", bad_beta, "failing k")
+    return report
+
+
+PERTURBED_PRESETS = ["oq-matrices:2,3", "uq-sl3", "multiparam-matrices:3"]
+
+
+@pytest.mark.parametrize("spec", PERTURBED_PRESETS)
+def test_perturbed_nu_fails_as_on_the_full_product(spec):
+    P = parse_preset_spec(spec)
+    T = compute_y_elements(P)
+    eigenvalues = list(nakayama_automorphism(P).eigenvalues)
+    eigenvalues[1] = eigenvalues[1] * P.lam[0][1]
+    nu = DiagonalMap(eigenvalues)
+    report = verify_nakayama_by_normal_element(P, T, nu)
+    assert not report.passed
+    assert [c.detail for c in report.checks] == ["failing k [2]", "failing k [2]"]
+    reference = full_product_nakayama_report(P, T, nu)
+    assert str(report) == str(reference)
+    assert report.to_dict() == reference.to_dict()
+
+
+@pytest.mark.parametrize("spec", PERTURBED_PRESETS)
+def test_perturbed_alpha_is_decided_on_the_full_product(spec):
+    P = parse_preset_spec(spec)
+    T = compute_y_elements(P)
+    alpha = [list(row) for row in T.alpha]
+    l = T.finals()[0]
+    alpha[0][l] = alpha[0][l] * P.lam[0][1]
+    T = dataclasses.replace(T, alpha=alpha)
+    nu = nakayama_automorphism(P)
+    report = verify_nakayama_by_normal_element(P, T, nu)
+    assert [(c.passed, c.detail) for c in report.checks] == [(True, ""), (False, "failing k [1]")]
+    reference = full_product_nakayama_report(P, T, nu)
+    assert str(report) == str(reference)
+    assert report.to_dict() == reference.to_dict()
+
+
+def test_nakayama_certificate_never_builds_u_when_every_factor_holds(monkeypatch):
+    P = parse_preset_spec("oq-matrices:3,4")
+    T = compute_y_elements(P)
+    nu = nakayama_automorphism(P)
+    calls = []
+    mul = P.mul
+
+    def counting_mul(p, r):
+        calls.append(1)
+        return mul(p, r)
+
+    monkeypatch.setattr(P, "mul", counting_mul)
+    assert verify_nakayama_by_normal_element(P, T, nu).passed
+    assert len(calls) == 2 * P.N * len(T.finals())
 
 
 def test_normal_element_conjugation_beyond_generators():
