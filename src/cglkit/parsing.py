@@ -229,7 +229,7 @@ class _PolyParser(_Parser):
         index = self.P.generator_index(text)
         if index is None:
             raise UnknownGenerator(f"unknown generator or parameter {text!r}", self.src, tok.pos)
-        return pbw.PBWPolynomial.generator(self.P.space, self.P.N, index)
+        return self.P.x(index)
 
     def divide(self, lhs, rhs, tok):
         scalar = rhs.as_constant()

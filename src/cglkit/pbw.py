@@ -30,7 +30,12 @@ from .scalars import LaurentFraction, _power_product
 
 
 class PBWPolynomial:
-    """Sparse PBW polynomial: dict of exponent tuple -> LaurentFraction."""
+    """Sparse PBW polynomial: dict of exponent tuple -> LaurentFraction.
+
+    Instances are immutable by convention (no mutating API): a presentation
+    hands out shared values, its cached pair products and Q-data, and
+    ``P.x(i)``, which returns the one generator object it builds.
+    """
 
     __slots__ = ("space", "N", "terms")
 
@@ -49,6 +54,15 @@ class PBWPolynomial:
                     clean[mono] = coeff
         self.terms = clean
 
+    @classmethod
+    def _trusted(cls, space, N, terms):
+        """Wrap a zero-free dict keyed by N-tuples of nonnegative ints, unchecked."""
+        self = object.__new__(cls)
+        self.space = space
+        self.N = N
+        self.terms = terms
+        return self
+
     # -- constructors --
 
     @classmethod
@@ -60,14 +74,6 @@ class PBWPolynomial:
         if not isinstance(value, LaurentFraction):
             value = LaurentFraction.from_rational(space, value)
         return cls(space, N, {(0,) * N: value})
-
-    @classmethod
-    def generator(cls, space, N, i):
-        """x_i as a polynomial (0-based i)."""
-        if not 0 <= i < N:
-            raise ValueError(f"generator index {i} out of range for N={N}")
-        mono = tuple(1 if j == i else 0 for j in range(N))
-        return cls(space, N, {mono: LaurentFraction.one(space)})
 
     @classmethod
     def monomial(cls, space, N, exps, coeff=1):
@@ -105,12 +111,12 @@ class PBWPolynomial:
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
             _add_term(out, mono, coeff)
-        return PBWPolynomial(self.space, self.N, out)
+        return PBWPolynomial._trusted(self.space, self.N, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PBWPolynomial(self.space, self.N, {m: -c for m, c in self.terms.items()})
+        return PBWPolynomial._trusted(self.space, self.N, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -126,7 +132,7 @@ class PBWPolynomial:
             scalar = LaurentFraction.from_rational(self.space, scalar)
         if scalar.is_zero:
             return PBWPolynomial.zero(self.space, self.N)
-        return PBWPolynomial(
+        return PBWPolynomial._trusted(
             self.space, self.N, {m: c * scalar for m, c in self.terms.items()}
         )
 
@@ -237,7 +243,7 @@ def normalize_words(P, items, order_positions=None, strategy="leftmost", fuel=No
             head, tail = word[:idx], word[idx + 2 :]
             for mono, c in qhat.terms.items():
                 stack.append((coeff * c, head + word_of_monomial(mono) + tail))
-    return PBWPolynomial(P.space, P.N, out)
+    return PBWPolynomial._trusted(P.space, P.N, out)
 
 
 def _find_descent(word, pos, strategy):
@@ -263,21 +269,21 @@ def multiply(p, r, P, strategy="leftmost"):
     p = _as_poly(p, P)
     r = _as_poly(r, P)
     out = {}
-    one = LaurentFraction.one(P.space)
     cache = P.pair_cache if strategy == "leftmost" else None
     for m1, c1 in p.terms.items():
+        word1 = word_of_monomial(m1)
         for m2, c2 in r.terms.items():
             key = (m1, m2)
             prod = cache.get(key) if cache is not None else None
             if prod is None:
-                word = word_of_monomial(m1) + word_of_monomial(m2)
-                prod = normalize_words(P, [(one, word)], strategy=strategy)
+                word = word1 + word_of_monomial(m2)
+                prod = normalize_words(P, [(P.unit, word)], strategy=strategy)
                 if cache is not None:
                     cache[key] = prod
             scalar = c1 * c2
             for mono, c in prod.terms.items():
                 _add_term(out, mono, c * scalar)
-    return PBWPolynomial(P.space, P.N, out)
+    return PBWPolynomial._trusted(P.space, P.N, out)
 
 
 def power(p, k, P):
@@ -358,6 +364,7 @@ def graded_split(p, P):
         d = monomial_degree(P, mono)
         parts.setdefault(d, {})[mono] = coeff
     return {d: PBWPolynomial(P.space, P.N, t) for d, t in sorted(parts.items())}
+
 
 def min_degree(p, P):
     p = _as_poly(p, P)

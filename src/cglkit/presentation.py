@@ -91,6 +91,12 @@ class CGLPresentation:
         self._set_Q(Q)
         self._lam_frac = {}
         self._degrees = -1  # sentinel: not computed
+        # built once and shared: PBW values are immutable by convention
+        self.unit = LaurentFraction.one(space)
+        self._generators = [
+            PBWPolynomial(space, N, {tuple(int(j == i) for j in range(N)): self.unit})
+            for i in range(N)
+        ]
 
     def _set_Q(self, Q):
         """Check and attach the Q-data, and empty the caches that depend on it."""
@@ -161,7 +167,10 @@ class CGLPresentation:
     # -- conveniences --
 
     def x(self, i) -> PBWPolynomial:
-        return PBWPolynomial.generator(self.space, self.N, i)
+        """x_i (0-based i); the same object on every call."""
+        if not 0 <= i < self.N:
+            raise ValueError(f"generator index {i} out of range for N={self.N}")
+        return self._generators[i]
 
     def one(self) -> PBWPolynomial:
         return PBWPolynomial.constant(self.space, self.N, 1)
@@ -437,6 +446,7 @@ def validate_cgl(P: CGLPresentation) -> ValidationReport:
 
     # consistency of the rewriting data: associativity on generator triples
     assoc_fail = []
+    bc_products = {}  # x_b x_c, made at a = 0 and reused for every later a
     try:
         for a in range(P.N):
             xa = P.x(a)
@@ -444,7 +454,10 @@ def validate_cgl(P: CGLPresentation) -> ValidationReport:
                 ab = P.mul(xa, P.x(b))
                 for c in range(P.N):
                     left = P.mul(ab, P.x(c))
-                    right = P.mul(xa, P.mul(P.x(b), P.x(c)))
+                    bc = bc_products.get((b, c))
+                    if bc is None:
+                        bc = bc_products[(b, c)] = P.mul(P.x(b), P.x(c))
+                    right = P.mul(xa, bc)
                     if left != right:
                         assoc_fail.append((a + 1, b + 1, c + 1))
     except DivergenceBudgetExceeded as exc:

@@ -14,6 +14,7 @@ from cglkit.errors import (
     ZeroElement,
 )
 from cglkit.pbw import PBWPolynomial, apply_endomorphism, multiply, normalize_words
+from cglkit.presentation import permute_presentation, sample_interval_permutation
 from cglkit.presets import parse_preset_spec
 from cglkit.scalars import LaurentFraction
 
@@ -85,6 +86,46 @@ def test_associativity_and_strategy_independence():
             assert multiply(a, b, P, strategy="leftmost") == multiply(
                 a, b, P, strategy="rightmost"
             )
+
+
+def assert_clean(p, P):
+    """p has the form the public constructor produces: N-tuple keys, no zero coefficient."""
+    for mono, coeff in p.terms.items():
+        assert type(mono) is tuple and len(mono) == P.N
+        assert all(type(e) is int and e >= 0 for e in mono)
+        assert isinstance(coeff, LaurentFraction) and not coeff.is_zero
+    rebuilt = PBWPolynomial(P.space, P.N, p.terms)
+    assert rebuilt == p and set(rebuilt.terms) == set(p.terms)
+
+
+@pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])
+def test_engine_results_keep_the_constructor_invariants(strategy):
+    rng = random.Random(8008)
+    base = parse_preset_spec("oq-matrices:2,3")
+    permuted = permute_presentation(base, [2, 1, 3, 0, 4, 5])
+    for P in (base, parse_preset_spec("uq-sl3"), permuted):
+        q = P.scalar("q")
+        for _ in range(12):
+            a, b = rand_poly(P, rng, max_exp=1), rand_poly(P, rng, max_exp=1)
+            ab = multiply(a, b, P, strategy=strategy)
+            aba = multiply(ab, a, P, strategy=strategy)
+            for p in (ab, aba, a + b, a - b, -a, a.scale(q), ab - ab):
+                assert_clean(p, P)
+            word = [rng.randrange(P.N) for _ in range(rng.randint(0, 5))]
+            items = [(q, word), (-q, word[::-1])]
+            assert_clean(normalize_words(P, items, strategy=strategy), P)
+            tau = sample_interval_permutation(P.N, rng)
+            positions = [tau.index(g) for g in range(P.N)]
+            out = normalize_words(P, items[:1], order_positions=positions, strategy=strategy)
+            assert_clean(out, P)
+            assert not out.is_zero
+
+
+def test_public_constructor_rejects_bad_exponent_tuples():
+    P = parse_preset_spec("uq-sl3")
+    for mono in [(1, 0), (0, 0, 0, 1), (0, -1, 0)]:
+        with pytest.raises(ValueError, match="bad exponent tuple"):
+            PBWPolynomial(P.space, P.N, {mono: 1})
 
 
 def test_fuel_budget_exhaustion():

@@ -11,6 +11,7 @@ from cglkit.errors import (
     NotInXi,
     NotReversible,
 )
+from cglkit import pbw
 from cglkit.pbw import PBWPolynomial
 from cglkit.presentation import (
     CGLPresentation,
@@ -25,7 +26,7 @@ from cglkit.presentation import (
     validate_symmetric,
 )
 from cglkit.presets import parse_preset_spec
-from cglkit.scalars import ParameterSpace, SignedMonomial
+from cglkit.scalars import LaurentFraction, ParameterSpace, SignedMonomial
 
 ALL_PRESETS = [
     "quantum-affine:2:q",
@@ -299,3 +300,54 @@ def test_equality_ignores_name():
     data["name"] = "renamed"
     P2 = CGLPresentation.from_json(json.dumps(data))
     assert P2 == P
+
+
+def test_shared_generators_survive_arithmetic():
+    P = parse_preset_spec("oq-matrices:2,2")
+    q = P.scalar("q")
+    one = LaurentFraction.one(P.space)
+    gens = [P.x(i) for i in range(P.N)]
+    scaled = [g.scale(q) for g in gens]
+    for i, g in enumerate(gens):
+        other = P.x((i + 1) % P.N)
+        results = [
+            g + other, g - other, other - g, -g, g.scale(q), g.scale(0),
+            P.mul(g, other), P.mul(other, g), pbw.power(g, 3, P),
+            pbw.apply_endomorphism(gens, g, P), pbw.apply_endomorphism(scaled, g, P),
+            P.parse(f"x{i + 1} + x{i + 1}"),
+        ]
+        assert all(r is not g for r in results)
+        assert P.x(i) is g and P.parse(f"x{i + 1}") is g
+        unit = tuple(int(j == i) for j in range(P.N))
+        assert list(g.terms) == [unit] and g.terms[unit] == one
+
+
+def test_generator_index_out_of_range():
+    P = parse_preset_spec("oq-matrices:2,2")
+    for i in (-1, P.N):
+        with pytest.raises(ValueError, match=f"generator index {i} out of range for N=4"):
+            P.x(i)
+
+
+def test_associativity_sweep_reuses_each_bc_product(monkeypatch):
+    P = parse_preset_spec("oq-matrices:2,3")
+    products = []
+    delta_steps = []
+    multiply, delta = pbw.multiply, P.delta
+
+    def counting_multiply(p, r, P, strategy="leftmost"):
+        products.append(1)
+        return multiply(p, r, P, strategy)
+
+    def counting_delta(k, p):
+        delta_steps.append(1)
+        return delta(k, p)
+
+    monkeypatch.setattr(pbw, "multiply", counting_multiply)
+    monkeypatch.setattr(P, "delta", counting_delta)
+    assert validate_cgl(P).passed
+    # every delta_k step of the nilpotency check makes two products; the
+    # sweep makes x_a x_b and (x_a x_b) x_c and x_a (x_b x_c) and, once, x_b x_c
+    assert delta_steps
+    N = P.N
+    assert len(products) - 2 * len(delta_steps) == 2 * N**3 + 2 * N**2
