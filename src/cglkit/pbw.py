@@ -12,6 +12,12 @@ strategy exists for confluence probes).  Termination is not assumed: every
 normalization call runs under a fuel budget proportional to
 (degree)^2 * N^2 and raises DivergenceBudgetExceeded when exhausted.
 
+The ordered monomials form a PBW basis, so a monomial pair m1 * m2 in which
+no letter of m1 comes after the first letter of m2 is already the basis
+monomial m1 + m2.  ``multiply`` adds such pairs directly: their concatenated
+word has no descent, so neither strategy would rewrite it or spend fuel on
+it, and the rightmost path stays independent on every pair that rewrites.
+
 Generator indices are 0-based throughout the code; the 1-based names
 x1..xN appear only in parsed/serialized text.
 """
@@ -19,6 +25,7 @@ x1..xN appear only in parsed/serialized text.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .errors import (
     DivergenceBudgetExceeded,
@@ -195,16 +202,16 @@ def monomial_of_word(word, N, positions=None):
     return tuple(exps)
 
 
-def _word_degree(P, word):
-    degs = P.generator_degrees()
-    if degs is not None:
-        return sum(degs[i] for i in word)
-    return len(word)
-
-
-def _fuel_budget(P, word):
-    d = _word_degree(P, word)
+def _fuel_budget(P, d):
+    """Rewrite steps allowed for words of degree at most d (pi-degree, else length)."""
     return max(64, P.fuel_factor * (d + 1) * (d + 1) * max(1, P.N) * max(1, P.N))
+
+
+def _monomial_weight(degs, mono):
+    """Degree of the word of mono, as ``_fuel_budget`` measures it."""
+    if degs is None:
+        return sum(mono)
+    return sum(e * d for e, d in zip(mono, degs))
 
 
 def normalize_words(P, items, order_positions=None, strategy="leftmost", fuel=None):
@@ -223,7 +230,11 @@ def normalize_words(P, items, order_positions=None, strategy="leftmost", fuel=No
     out = {}
     stack = [(c, list(w)) for c, w in items]
     if fuel is None:
-        fuel = max((_fuel_budget(P, w) for _, w in stack), default=64)
+        degs = P.generator_degrees()
+        d = 0
+        for _, w in stack:
+            d = max(d, len(w) if degs is None else sum(map(degs.__getitem__, w)))
+        fuel = _fuel_budget(P, d)
     while stack:
         coeff, word = stack.pop()
         idx = _find_descent(word, pos, strategy)
@@ -265,19 +276,37 @@ def _find_descent(word, pos, strategy):
 
 
 def multiply(p, r, P, strategy="leftmost"):
-    """Product p * r in PBW form.  Monomial pair products are memoized on P."""
+    """Product p * r in PBW form.
+
+    A monomial pair whose last letter of m1 is at most the first letter of
+    m2 is already ordered: it contributes x^(m1 + m2) with coefficient
+    c1 * c2, the result of either strategy on a word without descent, and
+    touches neither the rewriter nor the pair cache.  Every other pair is
+    normalized once per presentation (leftmost strategy, memoized on P) or
+    on every call (rightmost strategy, never cached), under the fuel budget
+    of its word's degree.
+    """
     p = _as_poly(p, P)
     r = _as_poly(r, P)
     out = {}
     cache = P.pair_cache if strategy == "leftmost" else None
+    # first letter of each monomial of r (N for the constant monomial)
+    columns = [
+        (m2, c2, next((i for i, e in enumerate(m2) if e), P.N)) for m2, c2 in r.terms.items()
+    ]
     for m1, c1 in p.terms.items():
-        word1 = word_of_monomial(m1)
-        for m2, c2 in r.terms.items():
+        last = max((i for i, e in enumerate(m1) if e), default=-1)
+        for m2, c2, first in columns:
+            if last <= first:
+                _add_term(out, tuple(map(add, m1, m2)), c1 * c2)
+                continue
             key = (m1, m2)
             prod = cache.get(key) if cache is not None else None
             if prod is None:
-                word = word1 + word_of_monomial(m2)
-                prod = normalize_words(P, [(P.unit, word)], strategy=strategy)
+                degs = P.generator_degrees()
+                fuel = _fuel_budget(P, _monomial_weight(degs, m1) + _monomial_weight(degs, m2))
+                word = word_of_monomial(m1) + word_of_monomial(m2)
+                prod = normalize_words(P, [(P.unit, word)], strategy=strategy, fuel=fuel)
                 if cache is not None:
                     cache[key] = prod
             scalar = c1 * c2

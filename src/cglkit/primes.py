@@ -184,9 +184,8 @@ def _solve_predecessor(P, y_j, chain_j, k, target_chi):
     columns = [PBWPolynomial(P.space, P.N, {m: 1}) for m in basis]
     lhs_rows = []
     col_rows = [[] for _ in columns]
-    one = SignedMonomial.one(P.space)
     for i in range(k + 1):
-        gamma_frac = prod((P.lam[c][i] for c in chain), start=one).to_fraction()
+        gamma_frac = prod((P.lam_fraction(c, i) for c in chain), start=P.unit)
         xi = P.x(i)
         lhs_rows.append(P.mul(lead, xi) - P.mul(xi, lead).scale(gamma_frac))
         for t, col in enumerate(columns):

@@ -12,11 +12,14 @@ Two representations live here:
   a fast path: ``+``, ``-``, ``*`` and unary minus of two Laurent
   polynomials build their result straight from the sparse-dict product or
   sum, with no cleaning, GCD or content work, and ``==`` compares the
-  numerator dicts.  True quotients (``len(den) > 1``) take the general path,
-  except for unary minus, which negates the numerator of the reduced value.
-  Its GCD is skipped when len(num) * len(den) exceeds 4096, so equal
-  quotients need not be identical, and ``==`` decides them by
-  cross-multiplication.
+  numerator dicts.  Next to it sits the unit shortcut: ``is_one`` is a
+  structural test on Laurent values, and ``*`` returns the other operand
+  itself when one side is the Laurent value 1, whatever that operand is.
+  True quotients (``len(den) > 1``) take the general path, except for unary
+  minus, which negates the numerator of the reduced value.  Its GCD is
+  skipped when len(num) * len(den) exceeds 4096, so equal quotients need not
+  be identical, ``==`` decides them by cross-multiplication, and ``is_one``
+  compares a quotient with 1 by value.
 
 * ``SignedMonomial`` -- an element of the subgroup of K^x generated by the
   parameters together with nonzero rationals, i.e. ``c * q1^e1 * ... * qm^em``.
@@ -431,6 +434,9 @@ class LaurentFraction:
 
     @property
     def is_one(self) -> bool:
+        if self.is_laurent:
+            return len(self.num) == 1 and self.num.get(self.space.zero_exps()) == 1
+        # a quotient past the GCD cap can be an unreduced form of 1
         return self == 1
 
     def _coerce(self, other):
@@ -480,6 +486,11 @@ class LaurentFraction:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        # is_one is a structural test on Laurent values
+        if self.is_laurent and self.is_one:
+            return other
+        if other.is_laurent and other.is_one:
+            return self
         if self.is_laurent and other.is_laurent:
             return LaurentFraction._trusted(self.space, _dict_mul(self.num, other.num), self.den)
         return LaurentFraction(

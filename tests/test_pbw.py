@@ -14,7 +14,11 @@ from cglkit.errors import (
     ZeroElement,
 )
 from cglkit.pbw import PBWPolynomial, apply_endomorphism, multiply, normalize_words
-from cglkit.presentation import permute_presentation, sample_interval_permutation
+from cglkit.presentation import (
+    CGLPresentation,
+    permute_presentation,
+    sample_interval_permutation,
+)
 from cglkit.presets import parse_preset_spec
 from cglkit.scalars import LaurentFraction
 
@@ -132,6 +136,126 @@ def test_fuel_budget_exhaustion():
     P = parse_preset_spec("oq-matrices:2,2")
     with pytest.raises(DivergenceBudgetExceeded):
         normalize_words(P, [(LaurentFraction.one(P.space), [3, 2, 1, 0])], fuel=2)
+
+
+def rand_monomial_pair(P, rng):
+    """Two small monomials; about half the pairs are ordered (m1 before m2)."""
+
+    def mono(lo, hi):
+        exps = [0] * P.N
+        for _ in range(rng.randint(1, 3)):
+            exps[rng.randint(lo, hi)] += 1
+        return tuple(exps)
+
+    split = rng.randrange(P.N)
+    if rng.random() < 0.5:
+        return mono(0, split), mono(split, P.N - 1)
+    return mono(0, P.N - 1), mono(0, P.N - 1)
+
+
+def rand_scalar(P, rng):
+    t = LaurentFraction.parameter(P.space, P.space.names[0])
+    return rng.choice([P.unit, -2 * P.unit, t, t**-1, (t + 1) / (t - 2)])
+
+
+@pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])
+def test_multiply_matches_normalizing_the_concatenated_word(strategy):
+    rng = random.Random(2027)
+    base = parse_preset_spec("oq-matrices:2,3")
+    presentations = [
+        base,
+        parse_preset_spec("uq-sl3"),
+        parse_preset_spec("multiparam-matrices:3"),
+        permute_presentation(base, [2, 1, 3, 0, 4, 5]),
+    ]
+    ordered = 0
+    for P in presentations:
+        for _ in range(30):
+            m1, m2 = rand_monomial_pair(P, rng)
+            c1, c2 = rand_scalar(P, rng), rand_scalar(P, rng)
+            got = multiply(
+                PBWPolynomial(P.space, P.N, {m1: c1}),
+                PBWPolynomial(P.space, P.N, {m2: c2}),
+                P,
+                strategy=strategy,
+            )
+            word = pbw.word_of_monomial(m1) + pbw.word_of_monomial(m2)
+            expected = normalize_words(P, [(c1 * c2, word)], strategy=strategy)
+            assert got == expected and set(got.terms) == set(expected.terms)
+            ordered += word == sorted(word)
+    # both kinds of pair occur: 120 products in all
+    assert 30 <= ordered <= 90, ordered
+
+
+def test_ordered_pairs_skip_the_rewriter_and_the_pair_cache(monkeypatch):
+    words = []
+    real = pbw.normalize_words
+
+    def counting(P, items, *args, **kwargs):
+        words.extend(w for _, w in items)
+        return real(P, items, *args, **kwargs)
+
+    monkeypatch.setattr(pbw, "normalize_words", counting)
+    P = parse_preset_spec("oq-matrices:2,3")
+    q = P.scalar("q")
+    # every monomial of p lives on x1..x3 and every monomial of r on x3..x6
+    p_terms = {(0,) * 6: 1, (1, 1, 0, 0, 0, 0): q, (0, 0, 2, 0, 0, 0): -1, (1, 0, 1, 0, 0, 0): 2}
+    p = PBWPolynomial(P.space, P.N, p_terms)
+    r = PBWPolynomial(
+        P.space, P.N, {(0,) * 6: q, (0, 0, 1, 0, 0, 1): 1, (0, 0, 0, 2, 1, 0): -q.inverse()}
+    )
+    expected = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in r.terms.items():
+            pbw._add_term(expected, tuple(a + b for a, b in zip(m1, m2)), c1 * c2)
+    entries = len(P.pair_cache)
+    for strategy in ("leftmost", "rightmost"):
+        assert multiply(p, r, P, strategy=strategy) == PBWPolynomial(P.space, P.N, expected)
+    assert words == [] and len(P.pair_cache) == entries
+    # an unordered pair does reach the rewriter, and the leftmost product is cached
+    multiply(P.x(3), P.x(0), P, strategy="leftmost")
+    assert words == [[3, 0]] and len(P.pair_cache) == entries + 1
+
+
+def _ungraded(P):
+    data = P.to_json_dict()
+    del data["torus"]["pi"]
+    return CGLPresentation.from_json_dict(data)
+
+
+def test_fuel_budget_matches_its_formula(monkeypatch):
+    budgets = []
+    real = pbw._fuel_budget
+
+    def recording(P, d):
+        budgets.append((d, real(P, d)))
+        return budgets[-1][1]
+
+    monkeypatch.setattr(pbw, "_fuel_budget", recording)
+    rng = random.Random(31)
+    oq, sl3 = parse_preset_spec("oq-matrices:2,3"), parse_preset_spec("uq-sl3")
+    sl3_ungraded = _ungraded(sl3)
+    sl3_ungraded.fuel_factor = 3
+    for P, graded in ((oq, True), (sl3, True), (_ungraded(oq), False), (sl3_ungraded, False)):
+        degs = P.generator_degrees()
+        assert (degs is not None) == graded
+
+        def budget_of(word):
+            d = len(word) if degs is None else sum(degs[i] for i in word)
+            return d, max(64, P.fuel_factor * (d + 1) ** 2 * P.N**2)
+
+        for _ in range(12):
+            words = [[rng.randrange(P.N) for _ in range(rng.randint(0, 6))] for _ in range(3)]
+            budgets.clear()
+            normalize_words(P, [(P.unit, w) for w in words])
+            assert budgets == [max(budget_of(w) for w in words)]
+            # the miss path of multiply budgets the concatenated word
+            m1, m2 = rand_monomial_pair(P, rng)
+            budgets.clear()
+            p1, p2 = (PBWPolynomial.monomial(P.space, P.N, m) for m in (m1, m2))
+            multiply(p1, p2, P, strategy="rightmost")
+            word = pbw.word_of_monomial(m1) + pbw.word_of_monomial(m2)
+            assert budgets == ([] if word == sorted(word) else [budget_of(word)])
 
 
 def test_graded_split_and_characters():

@@ -257,3 +257,45 @@ def test_coefficients_are_int_or_fraction():
     assert type((half / half).as_rational()) is Fraction
     assert type(LaurentFraction.zero(SP).as_rational()) is Fraction
     assert (half + half).is_laurent and not (q / (q + 1)).is_laurent
+
+
+# -- the unit shortcut of is_one and * --
+
+
+def _unreduced_one(space):
+    """A true quotient num/num past the 4096 GCD cap, so it stays unreduced."""
+    q = LaurentFraction.parameter(space, space.names[0])
+    num = ((1 + q) ** 64).num
+    assert len(num) * len(num) > 4096
+    return LaurentFraction(space, num, num)
+
+
+def test_multiplying_by_one_returns_the_other_operand():
+    q = LaurentFraction.parameter(SP, "q")
+    one = LaurentFraction.one(SP)
+    for x in (q**2 - 3 * q**-1, (q + 1) / (q - 2), LaurentFraction.zero(SP)):
+        for product in (x * 1, 1 * x, x * one, one * x, x * Fraction(1)):
+            assert product == x
+            assert (product.num, product.den) == (x.num, x.den)
+        assert x * one is x and one * x is x
+    # an unreduced 1 is not a structural unit, and the general path still agrees
+    big_one = _unreduced_one(SP)
+    quotient = (q + 1) / (q - 2)
+    assert quotient * big_one == quotient and big_one * q == q
+
+
+def test_is_one():
+    q = LaurentFraction.parameter(SP, "q")
+    a_over_b = (q + 1) / (q - 2)
+    assert not a_over_b.is_laurent
+    assert LaurentFraction.from_rational(SP, 1).is_one
+    assert LaurentFraction.one(SP2).is_one
+    assert (a_over_b * ((q - 2) / (q + 1))).is_one
+    for value in (-1, 2, q, q**-1, a_over_b, LaurentFraction.zero(SP)):
+        if not isinstance(value, LaurentFraction):
+            value = LaurentFraction.from_rational(SP, value)
+        assert not value.is_one, value
+    # a true quotient equal to 1 is decided by value
+    big_one = _unreduced_one(SP)
+    assert not big_one.is_laurent and big_one.is_one
+    assert not (big_one * q).is_one
