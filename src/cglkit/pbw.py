@@ -25,7 +25,8 @@ x1..xN appear only in parsed/serialized text.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from itertools import compress, count
+from operator import add, mul
 
 from .errors import (
     DivergenceBudgetExceeded,
@@ -187,8 +188,19 @@ def _add_term(out, mono, coeff):
 def word_of_monomial(mono):
     word = []
     for i, e in enumerate(mono):
-        word.extend([i] * e)
+        if e:
+            word += [i] * e
     return word
+
+
+def _first_letter(mono):
+    """Index of the first generator occurring in mono; len(mono) for the constant."""
+    return next(compress(count(), mono), len(mono))
+
+
+def _last_letter(mono):
+    """Index of the last generator occurring in mono; -1 for the constant."""
+    return len(mono) - 1 - _first_letter(mono[::-1])
 
 
 def monomial_of_word(word, N, positions=None):
@@ -211,7 +223,7 @@ def _monomial_weight(degs, mono):
     """Degree of the word of mono, as ``_fuel_budget`` measures it."""
     if degs is None:
         return sum(mono)
-    return sum(e * d for e, d in zip(mono, degs))
+    return sum(map(mul, mono, degs))
 
 
 def normalize_words(P, items, order_positions=None, strategy="leftmost", fuel=None):
@@ -290,12 +302,9 @@ def multiply(p, r, P, strategy="leftmost"):
     r = _as_poly(r, P)
     out = {}
     cache = P.pair_cache if strategy == "leftmost" else None
-    # first letter of each monomial of r (N for the constant monomial)
-    columns = [
-        (m2, c2, next((i for i, e in enumerate(m2) if e), P.N)) for m2, c2 in r.terms.items()
-    ]
+    columns = [(m2, c2, _first_letter(m2)) for m2, c2 in r.terms.items()]
     for m1, c1 in p.terms.items():
-        last = max((i for i, e in enumerate(m1) if e), default=-1)
+        last = _last_letter(m1)
         for m2, c2, first in columns:
             if last <= first:
                 _add_term(out, tuple(map(add, m1, m2)), c1 * c2)

@@ -12,14 +12,13 @@ Two representations live here:
   a fast path: ``+``, ``-``, ``*`` and unary minus of two Laurent
   polynomials build their result straight from the sparse-dict product or
   sum, with no cleaning, GCD or content work, and ``==`` compares the
-  numerator dicts.  Next to it sits the unit shortcut: ``is_one`` is a
-  structural test on Laurent values, and ``*`` returns the other operand
-  itself when one side is the Laurent value 1, whatever that operand is.
-  True quotients (``len(den) > 1``) take the general path, except for unary
-  minus, which negates the numerator of the reduced value.  Its GCD is
-  skipped when len(num) * len(den) exceeds 4096, so equal quotients need not
-  be identical, ``==`` decides them by cross-multiplication, and ``is_one``
-  compares a quotient with 1 by value.
+  numerator dicts.  Next to it sits the unit shortcut: ``is_one`` compares
+  the ``num`` and ``den`` dicts, and ``*`` returns the other operand itself
+  when one side is 1.  True quotients (``len(den) > 1``) take the general
+  path, except for unary minus, which negates the numerator of the reduced
+  value.  Its GCD is skipped when len(num) * len(den) exceeds 4096, so equal
+  quotients need not be identical, and ``==`` decides them by
+  cross-multiplication.
 
 * ``SignedMonomial`` -- an element of the subgroup of K^x generated by the
   parameters together with nonzero rationals, i.e. ``c * q1^e1 * ... * qm^em``.
@@ -434,10 +433,10 @@ class LaurentFraction:
 
     @property
     def is_one(self) -> bool:
-        if self.is_laurent:
-            return len(self.num) == 1 and self.num.get(self.space.zero_exps()) == 1
-        # a quotient past the GCD cap can be an unreduced form of 1
-        return self == 1
+        # num/den is 1 exactly when num == den, and both dicts are canonical; for
+        # a Laurent value den is the constant 1, and a quotient past the GCD cap
+        # can be an unreduced num/num
+        return self.num == self.den
 
     def _coerce(self, other):
         if isinstance(other, LaurentFraction):
@@ -486,10 +485,9 @@ class LaurentFraction:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        # is_one is a structural test on Laurent values
-        if self.is_laurent and self.is_one:
+        if self.is_one:
             return other
-        if other.is_laurent and other.is_one:
+        if other.is_one:
             return self
         if self.is_laurent and other.is_laurent:
             return LaurentFraction._trusted(self.space, _dict_mul(self.num, other.num), self.den)

@@ -278,10 +278,11 @@ def test_multiplying_by_one_returns_the_other_operand():
             assert product == x
             assert (product.num, product.den) == (x.num, x.den)
         assert x * one is x and one * x is x
-    # an unreduced 1 is not a structural unit, and the general path still agrees
+    # an unreduced num/num past the GCD cap is 1 as well
     big_one = _unreduced_one(SP)
     quotient = (q + 1) / (q - 2)
-    assert quotient * big_one == quotient and big_one * q == q
+    assert quotient * big_one is quotient and big_one * q is q
+    assert (q + big_one) * quotient == (q + 1) * quotient
 
 
 def test_is_one():
@@ -297,5 +298,5 @@ def test_is_one():
         assert not value.is_one, value
     # a true quotient equal to 1 is decided by value
     big_one = _unreduced_one(SP)
-    assert not big_one.is_laurent and big_one.is_one
-    assert not (big_one * q).is_one
+    assert not big_one.is_laurent and big_one.is_one and big_one == 1
+    assert not (big_one + 1).is_one and not (big_one * q).is_one
