@@ -48,9 +48,11 @@ def _cases():
     ]:
         for command in ["y-elements", "core", "saturation", "verify-nakayama"]:
             cases.append((_slug(command, preset), [command, "--preset", preset]))
-    # N = 12 and N = 16 certificates, recorded with the full-product check
+    # N = 12 and N = 16 certificates, recorded with the full-product check,
+    # and the y-element tables of the same presets
     for preset in ["oq-matrices:3,4", "oq-matrices:4,4", "multiparam-matrices:4"]:
-        cases.append((_slug("verify-nakayama", preset), ["verify-nakayama", "--preset", preset]))
+        for command in ["verify-nakayama", "y-elements"]:
+            cases.append((_slug(command, preset), [command, "--preset", preset]))
     for preset, gen, s in [
         ("oq-matrices:2,2", "x1", "1"),
         ("oq-matrices:2,3", "x3", "0"),
