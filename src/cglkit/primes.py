@@ -6,6 +6,11 @@ nonzero, else y_k = x_k), the commutation matrices alpha and q, the embedded
 quantum affine space check, the prime-generator set P_x, bicharacter radicals
 with saturation, and the center lattice of the associated quantum torus.
 
+Each c_k is found by adding the normality conditions y x_i = gamma_i x_i y
+one generator at a time, i = 0..k, until they pin c; the pinned y is then
+checked directly on the remaining generators.  That check is those rows'
+equations evaluated at c, so the answers are those of the full system.
+
 All indices are 0-based in code; reports and CLI output are 1-based.  The
 sentinels -infinity (for predecessors) and +infinity (for successors) are
 represented by None.
@@ -170,41 +175,55 @@ def monomials_of_degree(P, d, top=None):
 
 
 def _solve_predecessor(P, y_j, chain_j, k, target_chi):
-    """Candidate c for y = y_j x_k - c normal in the prefix subalgebra.
+    """The normal y = y_j x_k - c in the prefix subalgebra, as (y, c), or None.
 
     The normality scalars are pinned a priori: gamma_i is the product of
     lambda_{c,i} over the would-be chain [k] + chain_j, which is what moving
     x_i through the leading monomial of y produces.  Given those scalars the
-    condition y x_i = gamma_i x_i y is linear in c.  Returns the unique c or
-    None; a positive-dimensional solution space raises AmbiguousPredecessor.
+    condition y x_i = gamma_i x_i y is linear in c: one block of rows per
+    generator x_i, i <= k.  The blocks are added in the order i = 0..k and
+    the system is solved after each one.  An inconsistent system has no c;
+    once the null space is zero, c is pinned (usually by the x_0 block).
+    The pinned y is then checked directly on the remaining generators: by
+    bilinearity y x_i - gamma_i x_i y is the residual of block i at c, so c,
+    None and AmbiguousPredecessor come out as from the full system.  The
+    error is raised only when all k + 1 blocks leave a nonzero null space.
+    With no monomial of the target character, c = 0 needs only the check.
     """
     chain = [k] + chain_j
+    gammas = [prod((P.lam_fraction(c, i) for c in chain), start=P.unit) for i in range(k + 1)]
+
+    def residual(poly, i):
+        return P.mul(poly, P.x(i)) - P.mul(P.x(i), poly).scale(gammas[i])
+
     lead = P.mul(y_j, P.x(k))
     basis = monomials_with_character(P, target_chi, top=k)
-    columns = [PBWPolynomial(P.space, P.N, {m: 1}) for m in basis]
-    lhs_rows = []
-    col_rows = [[] for _ in columns]
-    for i in range(k + 1):
-        gamma_frac = prod((P.lam_fraction(c, i) for c in chain), start=P.unit)
-        xi = P.x(i)
-        lhs_rows.append(P.mul(lead, xi) - P.mul(xi, lead).scale(gamma_frac))
-        for t, col in enumerate(columns):
-            col_rows[t].append(P.mul(col, xi) - P.mul(xi, col).scale(gamma_frac))
-    # stack the per-generator conditions into one linear system
-    stacked_target = _stack(lhs_rows)
-    stacked_cols = [_stack(rows) for rows in col_rows]
-    if not columns:
-        return None if stacked_target else PBWPolynomial.zero(P.space, P.N)
-    solved = solve_in_span(stacked_cols, stacked_target, P.space)
-    if solved is None:
+    c = PBWPolynomial.zero(P.space, P.N)
+    unchecked = range(k + 1)
+    if basis:
+        columns = [PBWPolynomial(P.space, P.N, {m: 1}) for m in basis]
+        lhs_rows = []
+        col_rows = [[] for _ in columns]
+        for i in unchecked:
+            lhs_rows.append(residual(lead, i))
+            for col, rows in zip(columns, col_rows):
+                rows.append(residual(col, i))
+            solved = solve_in_span([_stack(r) for r in col_rows], _stack(lhs_rows), P.space)
+            if solved is None:
+                return None
+            if not solved[1]:
+                break
+        else:
+            raise AmbiguousPredecessor(
+                f"multiple homogeneous c solve the normality system at k = {k + 1}"
+            )
+        terms = {m: coeff for m, coeff in zip(basis, solved[0]) if not coeff.is_zero}
+        c = PBWPolynomial(P.space, P.N, terms)
+        unchecked = range(i + 1, k + 1)
+    y = lead - c
+    if any(not residual(y, i).is_zero for i in unchecked):
         return None
-    coeffs, null_basis = solved
-    if null_basis:
-        raise AmbiguousPredecessor(
-            f"multiple homogeneous c solve the normality system at k = {k + 1}"
-        )
-    terms = {m: coeff for m, coeff in zip(basis, coeffs) if not coeff.is_zero}
-    return PBWPolynomial(P.space, P.N, terms)
+    return y, c
 
 
 def _stack(polys):
@@ -251,9 +270,9 @@ def compute_y_elements(P) -> YElementTable:
             while pred[chain_j[-1]] is not None:
                 chain_j.append(pred[chain_j[-1]])
             target_chi = _chi_add(y_chi[j], P.torus.chi[k])
-            c = _solve_predecessor(P, y[j], chain_j, k, target_chi)
-            if c is not None:
-                hits.append((j, c))
+            solved = _solve_predecessor(P, y[j], chain_j, k, target_chi)
+            if solved is not None:
+                hits.append((j, solved))
         if not hits:
             raise NoPredecessorSolution(
                 f"no currently-final y_j admits a normal y_j x_{k + 1} - c"
@@ -263,11 +282,10 @@ def compute_y_elements(P) -> YElementTable:
                 f"predecessors {[j + 1 for j, _ in hits]} all admit solutions "
                 f"at k = {k + 1}"
             )
-        j, c = hits[0]
+        j, (y_k, c_map[k]) = hits[0]
         pred.append(j)
         succ[j] = k
-        c_map[k] = c
-        y.append(P.mul(y[j], P.x(k)) - c)
+        y.append(y_k)
         y_chi.append(_chi_add(y_chi[j], P.torus.chi[k]))
 
     eta = [0] * N

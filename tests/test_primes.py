@@ -2,12 +2,15 @@
 
 import itertools
 import random
+from math import prod
 
 import pytest
 
-from cglkit.errors import NoGradingDefined, NoPredecessorSolution
+from cglkit import pbw, primes
+from cglkit.errors import AmbiguousPredecessor, NoGradingDefined, NoPredecessorSolution
+from cglkit.linalg import solve_in_span
 from cglkit.pbw import PBWPolynomial
-from cglkit.presentation import CGLPresentation, TorusData
+from cglkit.presentation import CGLPresentation, TorusData, permute_presentation
 from cglkit.presets import parse_preset_spec
 from cglkit.primes import (
     bicharacter_radical,
@@ -326,6 +329,122 @@ def test_missing_grading_is_reported():
     P = _two_generator_presentation(None)
     with pytest.raises(NoGradingDefined):
         compute_y_elements(P)
+
+
+def test_ambiguous_predecessor_when_every_row_vanishes():
+    """x_0 x_2 in a quantum affine space whose x_1 has the character of x_0 x_2.
+
+    lambda comes from the skew bicharacter beta(u, v) = q^(u_0 v_1 - u_1 v_0)
+    and chi_1 = chi_0 + chi_2, so x_1 commutes with every x_i exactly as
+    x_0 x_2 does: every normality row vanishes on the column x_1 and on the
+    target, and c = t x_1 solves the system for every t.
+    """
+    sp = ParameterSpace(("q",))
+    q = SignedMonomial.parameter(sp, "q")
+    chi = [(1, 0), (1, 1), (0, 1)]
+
+    def beta(u, v):
+        return q ** (u[0] * v[1] - u[1] * v[0])
+
+    torus = TorusData(
+        rank=2,
+        chi=chi,
+        h=[(beta(c, (1, 0)), beta(c, (0, 1))) for c in chi],
+        pi=(1, 1),
+    )
+    lower = {(k, j): beta(chi[k], chi[j]) for k in range(3) for j in range(k)}
+    P = CGLPresentation.build(sp, 3, lower, {}, torus)
+    with pytest.raises(AmbiguousPredecessor):
+        primes._solve_predecessor(P, P.x(0), [0], 2, chi[1])
+
+
+# -- the normality solve against the full stacked system ---------------------
+
+
+def _full_system_solve(P, y_j, chain_j, k, target_chi):
+    """c from all k + 1 normality rows stacked into one system, or None."""
+    chain = [k] + chain_j
+    lead = P.mul(y_j, P.x(k))
+    basis = monomials_with_character(P, target_chi, top=k)
+    columns = [PBWPolynomial(P.space, P.N, {m: 1}) for m in basis]
+    lhs_rows = []
+    col_rows = [[] for _ in columns]
+    for i in range(k + 1):
+        gamma = prod((P.lam_fraction(c, i) for c in chain), start=P.unit)
+        xi = P.x(i)
+        lhs_rows.append(P.mul(lead, xi) - P.mul(xi, lead).scale(gamma))
+        for t, col in enumerate(columns):
+            col_rows[t].append(P.mul(col, xi) - P.mul(xi, col).scale(gamma))
+    target = primes._stack(lhs_rows)
+    if not columns:
+        return None if target else PBWPolynomial.zero(P.space, P.N)
+    solved = solve_in_span([primes._stack(rows) for rows in col_rows], target, P.space)
+    if solved is None:
+        return None
+    coeffs, null_basis = solved
+    if null_basis:
+        raise AmbiguousPredecessor(f"k = {k + 1}")
+    terms = {m: coeff for m, coeff in zip(basis, coeffs) if not coeff.is_zero}
+    return PBWPolynomial(P.space, P.N, terms)
+
+
+def _permuted_oq33():
+    return permute_presentation(parse_preset_spec("oq-matrices:3,3"), [3, 4, 2, 5, 1, 6, 0, 7, 8])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: parse_preset_spec("oq-matrices:2,3"),
+        lambda: parse_preset_spec("oq-matrices:3,3"),
+        lambda: parse_preset_spec("multiparam-matrices:3"),
+        lambda: parse_preset_spec("uq-sl3"),
+        _permuted_oq33,
+    ],
+    ids=["oq-matrices:2,3", "oq-matrices:3,3", "multiparam-matrices:3", "uq-sl3", "oq33-permuted"],
+)
+def test_row_by_row_solve_matches_the_full_system(make, monkeypatch):
+    """On every (k, j) candidate the recursion visits, pinning c row by row
+    and checking the rest directly gives the c of the full system, or None
+    on both sides, and y = y_j x_k - c."""
+    P = make()
+    solve = primes._solve_predecessor
+    visited = []
+
+    def compared(P, y_j, chain_j, k, target_chi):
+        found = solve(P, y_j, chain_j, k, target_chi)
+        expected = _full_system_solve(P, y_j, chain_j, k, target_chi)
+        if expected is None:
+            assert found is None, (k, chain_j)
+        else:
+            y, c = found
+            assert c == expected, (k, chain_j)
+            assert y == P.mul(y_j, P.x(k)) - c
+        visited.append((k, found is not None))
+        return found
+
+    monkeypatch.setattr(primes, "_solve_predecessor", compared)
+    T = compute_y_elements(P)
+    hits = [k for k, hit in visited if hit]
+    assert hits == [k for k in range(P.N) if T.eta_data.pred[k] is not None]
+    assert len(visited) > len(hits)
+
+
+def test_y_element_recursion_product_count(monkeypatch):
+    """Pinning c by the first normality row cuts the products of the
+    recursion on oq-matrices:3,3 from 454 (all k + 1 rows for every
+    candidate) to 124."""
+    P = parse_preset_spec("oq-matrices:3,3")
+    products = []
+    multiply = pbw.multiply
+
+    def counting_multiply(p, r, P, strategy="leftmost"):
+        products.append(1)
+        return multiply(p, r, P, strategy)
+
+    monkeypatch.setattr(pbw, "multiply", counting_multiply)
+    compute_y_elements(P)
+    assert len(products) == 124 < 454
 
 
 # -- homogeneous monomial enumeration ----------------------------------------
