@@ -388,26 +388,25 @@ def _full_system_solve(P, y_j, chain_j, k, target_chi):
     return PBWPolynomial(P.space, P.N, terms)
 
 
-def _permuted_oq33():
-    return permute_presentation(parse_preset_spec("oq-matrices:3,3"), [3, 4, 2, 5, 1, 6, 0, 7, 8])
-
-
 @pytest.mark.parametrize(
-    "make",
+    "spec, tau",
     [
-        lambda: parse_preset_spec("oq-matrices:2,3"),
-        lambda: parse_preset_spec("oq-matrices:3,3"),
-        lambda: parse_preset_spec("multiparam-matrices:3"),
-        lambda: parse_preset_spec("uq-sl3"),
-        _permuted_oq33,
+        ("oq-matrices:2,3", None),
+        ("oq-matrices:3,3", None),
+        ("multiparam-matrices:3", None),
+        ("uq-sl3", None),
+        ("oq-matrices:3,3", [3, 4, 2, 5, 1, 6, 0, 7, 8]),
     ],
     ids=["oq-matrices:2,3", "oq-matrices:3,3", "multiparam-matrices:3", "uq-sl3", "oq33-permuted"],
 )
-def test_row_by_row_solve_matches_the_full_system(make, monkeypatch):
+def test_row_by_row_solve_matches_the_full_system(spec, tau, monkeypatch):
     """On every (k, j) candidate the recursion visits, pinning c row by row
     and checking the rest directly gives the c of the full system, or None
-    on both sides, and y = y_j x_k - c."""
-    P = make()
+    on both sides, and y = y_j x_k - c.  The permuted presentation is the
+    one whose candidates need a second row block to pin c."""
+    P = parse_preset_spec(spec)
+    if tau is not None:
+        P = permute_presentation(P, tau)
     solve = primes._solve_predecessor
     visited = []
 
