@@ -53,6 +53,10 @@ def _cases():
     for preset in ["oq-matrices:3,4", "oq-matrices:4,4", "multiparam-matrices:4"]:
         for command in ["verify-nakayama", "y-elements"]:
             cases.append((_slug(command, preset), [command, "--preset", preset]))
+    # the N = 25 y-element table of multiparam-matrices, which unlike
+    # oq-matrices has no closed-form quantum-minor oracle in the tests
+    preset = "multiparam-matrices:5"
+    cases.append((_slug("y-elements", preset), ["y-elements", "--preset", preset]))
     for preset, gen, s in [
         ("oq-matrices:2,2", "x1", "1"),
         ("oq-matrices:2,3", "x3", "0"),
