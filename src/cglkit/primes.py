@@ -6,10 +6,14 @@ nonzero, else y_k = x_k), the commutation matrices alpha and q, the embedded
 quantum affine space check, the prime-generator set P_x, bicharacter radicals
 with saturation, and the center lattice of the associated quantum torus.
 
-Each c_k is found by adding the normality conditions y x_i = gamma_i x_i y
-one generator at a time, i = 0..k, until they pin c; the pinned y is then
-checked directly on the remaining generators.  That check is those rows'
-equations evaluated at c, so the answers are those of the full system.
+Each c_k has a closed form.  Write x_k r = sigma_k(r) x_k + delta_k(r) for
+r below x_k.  If y = y_j x_k - c is normal, y x_k = gamma_k x_k y, then
+sigma_k(y_j) = s_j y_j with gamma_k = 1/s_j, and c has the character of y_j
+x_k, so sigma_k(c) = s_j lambda_k c with lambda_k = chi_k(h_k).  The x_k^1
+coefficients of the normality condition give (lambda_k - 1) c = gamma_k
+delta_k(y_j), so c = delta_k(y_j) / (s_j (lambda_k - 1)); CGL axiom (iii)
+says lambda_k is not a root of unity.  No linear system is posed: y is built
+from this c and checked directly on every x_i, i <= k.
 
 All indices are 0-based in code; reports and CLI output are 1-based.  The
 sentinels -infinity (for predecessors) and +infinity (for successors) are
@@ -38,7 +42,7 @@ from .lattice import (
 from .linalg import solve_in_span
 from .pbw import PBWPolynomial
 from .reporting import ValidationReport
-from .scalars import SignedMonomial
+from .scalars import SignedMonomial, _power_product
 
 
 @dataclass
@@ -177,66 +181,44 @@ def monomials_of_degree(P, d, top=None):
 def _solve_predecessor(P, y_j, chain_j, k, target_chi):
     """The normal y = y_j x_k - c in the prefix subalgebra, as (y, c), or None.
 
-    The normality scalars are pinned a priori: gamma_i is the product of
-    lambda_{c,i} over the would-be chain [k] + chain_j, which is what moving
-    x_i through the leading monomial of y produces.  Given those scalars the
-    condition y x_i = gamma_i x_i y is linear in c: one block of rows per
-    generator x_i, i <= k.  The blocks are added in the order i = 0..k and
-    the system is solved after each one.  An inconsistent system has no c;
-    once the null space is zero, c is pinned (usually by the x_0 block).
-    The pinned y is then checked directly on the remaining generators: by
-    bilinearity y x_i - gamma_i x_i y is the residual of block i at c, so c,
-    None and AmbiguousPredecessor come out as from the full system.  The
-    error is raised only when all k + 1 blocks leave a nonzero null space.
-    With no monomial of the target character, c = 0 needs only the check.
+    On a monomial m below x_k, sigma_k(m) = mu_m m with mu_m = prod_i
+    lambda_{k i}^{m_i}.  y_j has the character of its chain, so
+    sigma_k(y_j) = s_j y_j with s_j = prod of lambda_{k c} over chain_j, and
+    the x_k condition y x_k = gamma_k x_k y has gamma_k = 1/s_j.  Its x_k^1
+    coefficient reads (mu_m - s_j) c_m = Delta_m for every monomial m, where
+    Delta = delta_k(y_j) = x_k y_j - sigma_k(y_j) x_k.  By axiom (iii)
+    mu_m = s_j lambda_k on the target character, lambda_k = chi_k(h_k) not a
+    root of unity, so c = Delta / (s_j (lambda_k - 1)).
+
+    c is formed term by term on the support of Delta; a zero mu_m - s_j there
+    makes the x_k row inconsistent, and there is no c.  y is then checked
+    directly, y x_i = gamma_i x_i y for i = 0..k with gamma_i the product of
+    lambda_{u i} over the chain [k] + chain_j, so no verdict rests on the
+    formula.  Only once y passes are the monomials of the target character
+    listed: a c outside their span gives None, and one of them outside the
+    support of Delta with mu_m = s_j is left free by the x_k row, which
+    raises AmbiguousPredecessor.
     """
-    chain = [k] + chain_j
-    gammas = [prod((P.lam_fraction(c, i) for c in chain), start=P.unit) for i in range(k + 1)]
-
-    def residual(poly, i):
-        return P.mul(poly, P.x(i)) - P.mul(P.x(i), poly).scale(gammas[i])
-
-    lead = P.mul(y_j, P.x(k))
-    basis = monomials_with_character(P, target_chi, top=k)
-    c = PBWPolynomial.zero(P.space, P.N)
-    unchecked = range(k + 1)
-    if basis:
-        columns = [PBWPolynomial(P.space, P.N, {m: 1}) for m in basis]
-        lhs_rows = []
-        col_rows = [[] for _ in columns]
-        for i in unchecked:
-            lhs_rows.append(residual(lead, i))
-            for col, rows in zip(columns, col_rows):
-                rows.append(residual(col, i))
-            solved = solve_in_span([_stack(r) for r in col_rows], _stack(lhs_rows), P.space)
-            if solved is None:
-                return None
-            if not solved[1]:
-                break
-        else:
-            raise AmbiguousPredecessor(
-                f"multiple homogeneous c solve the normality system at k = {k + 1}"
-            )
-        terms = {m: coeff for m, coeff in zip(basis, solved[0]) if not coeff.is_zero}
-        c = PBWPolynomial(P.space, P.N, terms)
-        unchecked = range(i + 1, k + 1)
-    y = lead - c
-    if any(not residual(y, i).is_zero for i in unchecked):
-        return None
-    return y, c
-
-
-def _stack(polys):
-    """Pack a list of polynomials into one term dict with disjoint monomials.
-
-    Implemented by tagging each monomial with its list position; equality of
-    the stacked dict is equivalent to simultaneous equality of the parts.
-    """
+    s_j = prod((P.lam[k][u] for u in chain_j), start=SignedMonomial.one(P.space))
     terms = {}
-    for pos, poly in enumerate(polys):
-        for mono, coeff in poly.terms.items():
-            terms[(pos,) + mono] = coeff
-    return terms
+    for m, coeff in P.delta(k, y_j).terms.items():
+        mu = _power_product(P.space, P.lam[k], m)
+        if mu == s_j:
+            return None
+        terms[m] = coeff / (mu.to_fraction() - s_j.to_fraction())
+    c = PBWPolynomial(P.space, P.N, terms)
+    y = P.mul(y_j, P.x(k)) - c
+    chain = [k] + chain_j
+    for i in range(k + 1):
+        gamma = prod((P.lam_fraction(u, i) for u in chain), start=P.unit)
+        if P.mul(y, P.x(i)) != P.mul(P.x(i), y).scale(gamma):
+            return None
+    basis = set(monomials_with_character(P, target_chi, top=k))
+    if not basis.issuperset(terms):
+        return None
+    if any(_power_product(P.space, P.lam[k], m) == s_j for m in basis.difference(terms)):
+        raise AmbiguousPredecessor(f"the x_{k + 1} row leaves c free at k = {k + 1}")
+    return y, c
 
 
 def compute_y_elements(P) -> YElementTable:

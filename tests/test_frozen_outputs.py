@@ -1,9 +1,10 @@
-"""Frozen outputs of the commands whose work is exact linear solves.
+"""Frozen outputs of the commands whose work is exact linear solves and the
+y-element recursion.
 
 Every linear system over the scalars is posed through ``linalg.solve_in_span``.
-``y-elements``, ``core``, ``saturation`` and ``verify-nakayama`` solve the
-y-element normality systems; uq-sl3 has quotient scalars, and building it
-solves its Serre reduction.  ``centralizer`` solves for a centralizer eigenspace,
+``y-elements``, ``core``, ``saturation`` and ``verify-nakayama`` run the
+y-element recursion; uq-sl3 has quotient scalars, and building it solves its
+Serre reduction.  ``centralizer`` solves for a centralizer eigenspace,
 and ``audit-endo`` inverts the degree-zero part of an endomorphism.
 ``validate`` and ``y-elements`` on files written by ``preset emit``, and
 ``validate`` on one broken file, load each presentation through

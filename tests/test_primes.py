@@ -65,7 +65,7 @@ def quantum_minor(P, n, rows, cols):
     return PBWPolynomial(P.space, P.N, terms)
 
 
-@pytest.mark.parametrize("t,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("t,n", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 4), (4, 5), (5, 5)])
 def test_every_y_is_a_contiguous_quantum_minor(t, n):
     P = parse_preset_spec(f"oq-matrices:{t},{n}")
     T = compute_y_elements(P)
@@ -325,6 +325,25 @@ def test_no_predecessor_solution():
         compute_y_elements(P)
 
 
+def test_normal_element_off_the_target_character_is_not_a_predecessor():
+    """x_1 x_0 = q x_0 x_1 + 1 under the torus of the quantum plane.
+
+    The closed form gives the constant c = 1/(1 - q), and x_0 x_1 - c is
+    normal, but c lacks the character chi_0 + chi_1 of x_0 x_1, whose
+    monomials below x_1 are none: there is no homogeneous predecessor.
+    """
+    P = _two_generator_presentation((1, 1))
+    Q = {(1, 0): PBWPolynomial.constant(P.space, 2, 1)}
+    P = CGLPresentation.build(P.space, 2, {(1, 0): P.lam[0][1]}, Q, P.torus)
+    c = PBWPolynomial.constant(P.space, 2, 1 / (1 - P.scalar("q")))
+    y = P.mul(P.x(0), P.x(1)) - c
+    for i, gamma in [(0, P.scalar("q")), (1, 1 / P.scalar("q"))]:
+        assert P.mul(y, P.x(i)) == P.mul(P.x(i), y).scale(gamma)
+    assert primes._solve_predecessor(P, P.x(0), [0], 1, (1, 1)) is None
+    with pytest.raises(NoPredecessorSolution):
+        compute_y_elements(P)
+
+
 def test_missing_grading_is_reported():
     P = _two_generator_presentation(None)
     with pytest.raises(NoGradingDefined):
@@ -334,10 +353,11 @@ def test_missing_grading_is_reported():
 def test_ambiguous_predecessor_when_every_row_vanishes():
     """x_0 x_2 in a quantum affine space whose x_1 has the character of x_0 x_2.
 
-    lambda comes from the skew bicharacter beta(u, v) = q^(u_0 v_1 - u_1 v_0)
-    and chi_1 = chi_0 + chi_2, so x_1 commutes with every x_i exactly as
-    x_0 x_2 does: every normality row vanishes on the column x_1 and on the
-    target, and c = t x_1 solves the system for every t.
+    lambda comes from the skew bicharacter beta(u, v) = q^(u_0 v_1 - u_1 v_0),
+    so lambda_2 = beta(chi_2, chi_2) = 1, against axiom (iii).  With
+    chi_1 = chi_0 + chi_2 this gives mu_{x_1} = s_0 lambda_2 = s_0: the x_2
+    row leaves the coefficient of x_1 in c free, and c = t x_1 makes
+    x_0 x_2 - c normal for every t.
     """
     sp = ParameterSpace(("q",))
     q = SignedMonomial.parameter(sp, "q")
@@ -358,7 +378,20 @@ def test_ambiguous_predecessor_when_every_row_vanishes():
         primes._solve_predecessor(P, P.x(0), [0], 2, chi[1])
 
 
-# -- the normality solve against the full stacked system ---------------------
+# -- the closed form against the full stacked system ------------------------
+
+
+def _stack(polys):
+    """Pack a list of polynomials into one term dict with disjoint monomials.
+
+    Implemented by tagging each monomial with its list position; equality of
+    the stacked dict is equivalent to simultaneous equality of the parts.
+    """
+    terms = {}
+    for pos, poly in enumerate(polys):
+        for mono, coeff in poly.terms.items():
+            terms[(pos,) + mono] = coeff
+    return terms
 
 
 def _full_system_solve(P, y_j, chain_j, k, target_chi):
@@ -375,10 +408,10 @@ def _full_system_solve(P, y_j, chain_j, k, target_chi):
         lhs_rows.append(P.mul(lead, xi) - P.mul(xi, lead).scale(gamma))
         for t, col in enumerate(columns):
             col_rows[t].append(P.mul(col, xi) - P.mul(xi, col).scale(gamma))
-    target = primes._stack(lhs_rows)
+    target = _stack(lhs_rows)
     if not columns:
         return None if target else PBWPolynomial.zero(P.space, P.N)
-    solved = solve_in_span([primes._stack(rows) for rows in col_rows], target, P.space)
+    solved = solve_in_span([_stack(rows) for rows in col_rows], target, P.space)
     if solved is None:
         return None
     coeffs, null_basis = solved
@@ -396,14 +429,25 @@ def _full_system_solve(P, y_j, chain_j, k, target_chi):
         ("multiparam-matrices:3", None),
         ("uq-sl3", None),
         ("oq-matrices:3,3", [3, 4, 2, 5, 1, 6, 0, 7, 8]),
+        ("oq-matrices:4,4", None),
+        ("multiparam-matrices:4", None),
     ],
-    ids=["oq-matrices:2,3", "oq-matrices:3,3", "multiparam-matrices:3", "uq-sl3", "oq33-permuted"],
+    ids=[
+        "oq-matrices:2,3",
+        "oq-matrices:3,3",
+        "multiparam-matrices:3",
+        "uq-sl3",
+        "oq33-permuted",
+        "oq-matrices:4,4",
+        "multiparam-matrices:4",
+    ],
 )
-def test_row_by_row_solve_matches_the_full_system(spec, tau, monkeypatch):
-    """On every (k, j) candidate the recursion visits, pinning c row by row
-    and checking the rest directly gives the c of the full system, or None
-    on both sides, and y = y_j x_k - c.  The permuted presentation is the
-    one whose candidates need a second row block to pin c."""
+def test_closed_form_matches_the_full_system(spec, tau, monkeypatch):
+    """On every (k, j) candidate the recursion visits, the closed form
+    c = delta_k(y_j) / (s_j (lambda_k - 1)) checked directly gives the c of
+    the full stacked system of all k + 1 normality rows, or None on both
+    sides, and y = y_j x_k - c.  The permuted presentation is the one whose
+    candidates the x_0 row alone does not pin."""
     P = parse_preset_spec(spec)
     if tau is not None:
         P = permute_presentation(P, tau)
@@ -430,9 +474,10 @@ def test_row_by_row_solve_matches_the_full_system(spec, tau, monkeypatch):
 
 
 def test_y_element_recursion_product_count(monkeypatch):
-    """Pinning c by the first normality row cuts the products of the
-    recursion on oq-matrices:3,3 from 454 (all k + 1 rows for every
-    candidate) to 124."""
+    """The products of the recursion on oq-matrices:3,3: each candidate
+    makes 2 for delta_k(y_j), 1 for the lead y_j x_k and at most 2(k + 1)
+    for the direct check, 138 in all, against 454 when every candidate
+    posed all k + 1 normality rows."""
     P = parse_preset_spec("oq-matrices:3,3")
     products = []
     multiply = pbw.multiply
@@ -443,7 +488,37 @@ def test_y_element_recursion_product_count(monkeypatch):
 
     monkeypatch.setattr(pbw, "multiply", counting_multiply)
     compute_y_elements(P)
-    assert len(products) == 124 < 454
+    assert len(products) == 138 < 454
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "oq-matrices:2,2",
+        "oq-matrices:3,3",
+        "oq-matrices:3,4",
+        "multiparam-matrices:3",
+        "multiparam-matrices:4",
+        "uq-sl3",
+    ],
+)
+def test_c_is_delta_over_s_times_lambda_minus_one(spec):
+    """c_k = delta_k(y_j) / (s_j (lambda_k - 1)) at every predecessor step
+    j = p(k), with s_j = chi(y_j)(h_k) and lambda_k = chi_k(h_k) read off the
+    torus."""
+    P = parse_preset_spec(spec)
+    T = compute_y_elements(P)
+    steps = 0
+    for k, j in enumerate(T.eta_data.pred):
+        if j is None:
+            continue
+        h_k = P.torus.h[k]
+        s_j = P.torus.eigenvalue(T.characters[j], h_k).to_fraction()
+        lambda_k = P.torus.eigenvalue(P.torus.chi[k], h_k).to_fraction()
+        expected = P.delta(k, T.y[j]).scale(1 / (s_j * (lambda_k - 1)))
+        assert T.c[k] == expected, k
+        steps += 1
+    assert steps == len(T.c) > 0
 
 
 # -- homogeneous monomial enumeration ----------------------------------------
