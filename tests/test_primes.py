@@ -508,17 +508,13 @@ def test_c_is_delta_over_s_times_lambda_minus_one(spec):
     torus."""
     P = parse_preset_spec(spec)
     T = compute_y_elements(P)
-    steps = 0
-    for k, j in enumerate(T.eta_data.pred):
-        if j is None:
-            continue
+    assert T.c.keys() == {k for k, j in enumerate(T.eta_data.pred) if j is not None} != set()
+    for k, c in T.c.items():
+        j = T.eta_data.pred[k]
         h_k = P.torus.h[k]
         s_j = P.torus.eigenvalue(T.characters[j], h_k).to_fraction()
         lambda_k = P.torus.eigenvalue(P.torus.chi[k], h_k).to_fraction()
-        expected = P.delta(k, T.y[j]).scale(1 / (s_j * (lambda_k - 1)))
-        assert T.c[k] == expected, k
-        steps += 1
-    assert steps == len(T.c) > 0
+        assert c == P.delta(k, T.y[j]).scale(1 / (s_j * (lambda_k - 1))), k
 
 
 # -- homogeneous monomial enumeration ----------------------------------------
