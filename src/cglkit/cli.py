@@ -44,7 +44,6 @@ def _presentation_args(sub):
     sub.add_argument("input", nargs="?", help="presentation JSON file")
     sub.add_argument("--preset", help="preset spec, e.g. oq-matrices:2,3")
     sub.add_argument("--json", dest="json_out", metavar="PATH", help="write the full report as JSON")
-    sub.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     sub.add_argument("--fuel", type=int, default=None, help="rewriting fuel factor")
 
 

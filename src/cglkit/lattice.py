@@ -1,17 +1,16 @@
 """Exact integer matrix routines: Hermite/Smith forms, kernels, membership.
 
-Matrices are lists of row lists of Python ints.  Sizes here are tiny
-(N <= ~12 generators, a handful of parameters), so the textbook algorithms
-are fine;  everything is deterministic.
+Matrices are lists of row lists of Python ints.  The Hermite normal form is
+the one elimination: kernels read it off the unimodular transform, the
+canonical HNF basis decides lattice equality and membership, and the Smith
+form alternates it on rows and columns.  Bicharacter radicals reach N = 36
+generators on the largest presets, with a handful of parameters; the
+textbook algorithm is fast enough there, and everything is deterministic.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-
-def _swap_rows(M, i, j):
-    M[i], M[j] = M[j], M[i]
+from math import gcd
 
 
 def hermite_normal_form(A):
@@ -43,8 +42,8 @@ def hermite_normal_form(A):
             for c in range(rows):
                 U[other][c] -= f * U[small][c]
         r = [r for r in range(pivot_row, rows) if H[r][col]][0]
-        _swap_rows(H, pivot_row, r)
-        _swap_rows(U, pivot_row, r)
+        H[pivot_row], H[r] = H[r], H[pivot_row]
+        U[pivot_row], U[r] = U[r], U[pivot_row]
         if H[pivot_row][col] < 0:
             H[pivot_row] = [-x for x in H[pivot_row]]
             U[pivot_row] = [-x for x in U[pivot_row]]
@@ -70,6 +69,10 @@ def row_space_basis(rows):
     return [r for r in H if any(r)]
 
 
+def _transpose(M):
+    return [list(col) for col in zip(*M)]
+
+
 def integer_kernel(A, n_cols=None):
     """Basis of {x in Z^n : A x = 0} (x as row vectors of length n).
 
@@ -79,117 +82,42 @@ def integer_kernel(A, n_cols=None):
         if n_cols is None:
             raise ValueError("need n_cols for an empty matrix")
         return [[int(i == j) for j in range(n_cols)] for i in range(n_cols)]
-    n = len(A[0])
-    # rows of At are the columns' coordinates; left-kernel rows of At are
-    # kernel vectors of A
-    At = [[A[r][c] for r in range(len(A))] for c in range(n)]
-    H, U = hermite_normal_form(At)
-    return [list(U[i]) for i in range(n) if not any(H[i])]
+    # left-kernel rows of A's transpose are kernel vectors of A
+    H, U = hermite_normal_form(_transpose(A))
+    return [list(U[i]) for i in range(len(A[0])) if not any(H[i])]
 
 
 def smith_invariant_factors(A):
-    """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix."""
-    M = [list(r) for r in A]
-    rows = len(M)
-    cols = len(M[0]) if rows else 0
-    factors = []
-    top = 0
-    while top < rows and top < cols:
-        # find a nonzero entry in the remaining block
-        pivot = None
-        for i in range(top, rows):
-            for j in range(top, cols):
-                if M[i][j]:
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            break
-        i, j = pivot
-        _swap_rows(M, top, i)
-        for r in range(rows):
-            M[r][top], M[r][j] = M[r][j], M[r][top]
-        # clear row and column at top; restart if new nonzeros appear
-        while True:
-            # reduce column entries below/above with euclidean steps
-            again = False
-            for r in range(rows):
-                if r != top and M[r][top]:
-                    f = M[r][top] // M[top][top]
-                    for c in range(cols):
-                        M[r][c] -= f * M[top][c]
-                    if M[r][top]:
-                        _swap_rows(M, top, r)
-                        again = True
-            for c in range(cols):
-                if c != top and M[top][c]:
-                    f = M[top][c] // M[top][top]
-                    for r in range(rows):
-                        M[r][c] -= f * M[r][top]
-                    if M[top][c]:
-                        for r in range(rows):
-                            M[r][top], M[r][c] = M[r][c], M[r][top]
-                        again = True
-            if not again:
-                break
-        factors.append(abs(M[top][top]))
-        top += 1
-    # enforce divisibility chain
+    """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix.
+
+    Alternates the row HNF of M and of its transpose until no off-diagonal
+    entry is left (Kannan and Bachem).  This terminates: from the second
+    pass on, the top-left pivot is a positive integer that never grows, as
+    each pass replaces it by the gcd of its column (or row).  It shrinks
+    unless it divides that column, and once it divides its row and column
+    they are cleared and stay cleared, so the passes go on in the
+    lower-right block alone.  The diagonal is then brought into a
+    divisibility chain by gcd/lcm swaps, which keep Z/a + Z/b fixed.
+    """
+    M = A
+    while any(v for i, row in enumerate(M) for j, v in enumerate(row) if i != j):
+        M = _transpose(row_space_basis(M))
+    factors = [abs(row[i]) for i, row in enumerate(M) if i < len(row) and row[i]]
     changed = True
     while changed:
         changed = False
         for i in range(len(factors) - 1):
             a, b = factors[i], factors[i + 1]
             if b % a:
-                from math import gcd
-
                 g = gcd(a, b)
                 factors[i], factors[i + 1] = g, a * b // g
                 changed = True
-    return [f for f in factors if f]
-
-
-def solve_rational(basis_rows, target):
-    """Coefficients c (Fractions) with sum c_i * basis_rows[i] = target, or None."""
-    if not basis_rows:
-        return [] if not any(target) else None
-    rows = len(basis_rows)
-    cols = len(basis_rows[0])
-    # solve the transposed system by Gaussian elimination over Q
-    M = [[Fraction(basis_rows[r][c]) for r in range(rows)] + [Fraction(target[c])]
-         for c in range(cols)]
-    piv_cols = []
-    r = 0
-    for c in range(rows):
-        pr = next((i for i in range(r, cols) if M[i][c]), None)
-        if pr is None:
-            continue
-        M[r], M[pr] = M[pr], M[r]
-        pivot = M[r][c]
-        M[r] = [x / pivot for x in M[r]]
-        for i in range(cols):
-            if i != r and M[i][c]:
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
-        piv_cols.append(c)
-        r += 1
-    # consistency
-    for i in range(r, cols):
-        if M[i][rows]:
-            return None
-    sol = [Fraction(0)] * rows
-    for row_idx, c in enumerate(piv_cols):
-        sol[c] = M[row_idx][rows]
-    return sol
+    return factors
 
 
 def lattice_contains(basis_rows, vector):
     """Whether vector is an integer combination of basis_rows."""
-    sol = solve_rational(basis_rows, vector)
-    if sol is None:
-        return False
-    return all(c.denominator == 1 for c in sol)
+    return lattices_equal([*basis_rows, list(vector)], basis_rows)
 
 
 def lattices_equal(rows_a, rows_b):

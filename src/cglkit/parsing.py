@@ -262,10 +262,9 @@ class _PolyParser(_Parser):
         # be in PBW order
         out = {}
         for m1, c1 in lhs.terms.items():
-            hi = max((i for i, e in enumerate(m1) if e), default=-1)
+            last = pbw._last_letter(m1)
             for m2, c2 in rhs.terms.items():
-                lo = min((i for i, e in enumerate(m2) if e), default=self.P.N)
-                if hi > lo:
+                if last > pbw._first_letter(m2):
                     self.fail("product is out of PBW order (raw mode)", tok)
                 pbw._add_term(out, tuple(a + b for a, b in zip(m1, m2)), c1 * c2)
         return pbw.PBWPolynomial(self.P.space, self.P.N, out)

@@ -28,6 +28,7 @@ from .errors import (
     NotInXi,
     NotReversible,
 )
+from .lattice import integer_kernel
 from .pbw import PBWPolynomial
 from .reporting import ValidationReport
 from .scalars import LaurentFraction, ParameterSpace, SignedMonomial, _power_product
@@ -52,13 +53,6 @@ class TorusData:
     h: list  # N tuples of SignedMonomial, length rank
     h_star: list | None = None
     pi: tuple | None = None
-
-    def eigenvalue(self, char, element) -> SignedMonomial:
-        """chi(h) = prod_a element[a]^char[a]."""
-        space = element[0].space if element else None
-        if space is None:
-            raise ValueError("rank-0 torus has no eigenvalues")
-        return _power_product(space, element, char)
 
 
 class CGLPresentation:
@@ -406,9 +400,9 @@ def validate_cgl(P: CGLPresentation) -> ValidationReport:
     for k in range(P.N):
         hk = P.torus.h[k]
         for j in range(k):
-            if P.torus.eigenvalue(P.torus.chi[j], hk) != P.lam[k][j]:
+            if _power_product(P.space, hk, P.torus.chi[j]) != P.lam[k][j]:
                 bad_eig.append((k + 1, j + 1))
-        if P.torus.eigenvalue(P.torus.chi[k], hk).is_root_of_unity():
+        if _power_product(P.space, hk, P.torus.chi[k]).is_root_of_unity():
             bad_root.append(k + 1)
     report.check("axiom (iii): chi_{x_j}(h_k) = lambda_{kj}", bad_eig, "failing (k, j)")
     report.check(
@@ -486,9 +480,9 @@ def validate_symmetric(P: CGLPresentation) -> ValidationReport:
     for j in range(P.N):
         hs = P.torus.h_star[j]
         for k in range(j + 1, P.N):
-            if P.torus.eigenvalue(P.torus.chi[k], hs) != P.lam[j][k]:
+            if _power_product(P.space, hs, P.torus.chi[k]) != P.lam[j][k]:
                 bad_eig.append((j + 1, k + 1))
-        if P.torus.eigenvalue(P.torus.chi[j], hs).is_root_of_unity():
+        if _power_product(P.space, hs, P.torus.chi[j]).is_root_of_unity():
             bad_root.append(j + 1)
     report.check("h*: chi_{x_k}(h*_j) = lambda_{jk}", bad_eig, "failing (j, k)")
     report.check("h*: weight chi_{x_j}(h*_j) not a root of unity", bad_root, "failing j")
@@ -527,16 +521,9 @@ def is_torsionfree(P: CGLPresentation) -> bool:
     when -1 (sign bit 1, zero exponents) is an integer combination of the
     generators.  Decided by an integer kernel plus a parity check.
     """
-    from .lattice import integer_kernel
-
     logs = [P.lam[k][j].monomial_log() for k in range(P.N) for j in range(k)]
-    if not logs:
-        return True
     signs = [s for s, _ in logs]
-    m = P.space.m
-    if m == 0:
-        return not any(signs)
-    rows = [[v[i] for _, v in logs] for i in range(m)]
+    rows = [[v[i] for _, v in logs] for i in range(P.space.m)]
     kernel = integer_kernel(rows, n_cols=len(logs))
     for vec in kernel:
         if sum(n * s for n, s in zip(vec, signs)) % 2:

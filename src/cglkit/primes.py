@@ -37,7 +37,6 @@ from .lattice import (
     lattice_contains,
     row_space_basis,
     smith_invariant_factors,
-    solve_rational,
 )
 from .linalg import solve_in_span
 from .pbw import PBWPolynomial
@@ -418,30 +417,17 @@ def saturation_closure(M) -> LatticeDescription:
     is exactly {f : nf in rad for some n > 0}.
     """
     exp_rows, _, N = _log_data(M)
-    kernel = integer_kernel(exp_rows, n_cols=N) if exp_rows else [
-        [1 if j == i else 0 for j in range(N)] for i in range(N)
-    ]
-    return LatticeDescription(N, row_space_basis(kernel))
+    return LatticeDescription(N, row_space_basis(integer_kernel(exp_rows, n_cols=N)))
 
 
 def is_saturated(M) -> bool:
     """Whether Z^N modulo the radical of the bicharacter is torsionfree.
 
-    Equivalent to the radical equalling its saturation; decided by the Smith
-    invariant factors of the radical basis written in coordinates of the
-    saturation basis.
+    Z^N / L is Z^(N-r) plus the sum of the Z/d_i over the Smith invariant
+    factors d_i of a basis of L, so it is torsionfree when every d_i is 1;
+    equivalently, the radical equals its saturation.
     """
-    rad = bicharacter_radical(M)
-    sat = saturation_closure(M)
-    if rad.rank != sat.rank:
-        raise InternalInconsistency("radical and its saturation differ in rank")
-    coords = []
-    for vec in rad.basis:
-        co = solve_rational(sat.basis, vec)
-        if co is None or any(x.denominator != 1 for x in co):
-            raise InternalInconsistency("radical vector outside its saturation")
-        coords.append([int(x) for x in co])
-    return all(d == 1 for d in smith_invariant_factors(coords))
+    return all(d == 1 for d in smith_invariant_factors(bicharacter_radical(M).basis))
 
 
 @dataclass

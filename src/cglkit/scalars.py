@@ -379,13 +379,12 @@ class LaurentFraction:
             (de, dc), = den.items()
             num = {tuple(x - y for x, y in zip(e, de)): _div(c, dc) for e, c in num.items()}
             return num, {space.zero_exps(): 1}
-        # joint content reduction: common rational content and common monomial
-        pool = list(num.items()) + list(den.items())
-        cont = _content([c for _, c in pool])
-        mins = tuple(min(e[i] for e, _ in pool) for i in range(space.m))
-        if cont != 1 or any(mins):
-            num = {tuple(x - y for x, y in zip(e, mins)): _div(c, cont) for e, c in num.items()}
-            den = {tuple(x - y for x, y in zip(e, mins)): _div(c, cont) for e, c in den.items()}
+        # joint content reduction; the shift above already zeroed the common
+        # monomial, and dividing by the gcd cannot restore one
+        cont = _content([*num.values(), *den.values()])
+        if cont != 1:
+            num = {e: _div(c, cont) for e, c in num.items()}
+            den = {e: _div(c, cont) for e, c in den.items()}
         # normalize the sign of the denominator's leading term
         lead = max(den.items(), key=_term_sort_key)
         if lead[1] < 0:

@@ -63,6 +63,19 @@ def test_validate_rejects_bad_lambda_diagonal(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_validate_rank_zero_torus_fails_axiom_iii(tmp_path, capsys):
+    # an empty product of characters is 1, so lambda_21 = q and the
+    # non-root-of-unity weights fail instead of raising
+    data = json.loads(parse_preset_spec("quantum-affine:2").to_json())
+    data["torus"] = {"rank": 0, "chi": [[], []], "h": [[], []]}
+    f = tmp_path / "rank0.json"
+    f.write_text(json.dumps(data))
+    assert main(["validate", str(f)]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] axiom (iii): chi_{x_j}(h_k) = lambda_{kj}  (failing (k, j) [(2, 1)])" in out
+    assert "[FAIL] axiom (iii): lambda_k = chi_{x_k}(h_k) not a root of unity  (failing k [1, 2])" in out
+
+
 def test_validate_malformed_file_is_a_usage_error(tmp_path, capsys):
     data = json.loads(parse_preset_spec("oq-matrices:2,2").to_json())
     del data["torus"]["h"]
@@ -164,6 +177,11 @@ def test_negative_preset_size_is_a_usage_error(spec, name, size, capsys):
         f"error: bad arguments for preset {name}: "
         f"size {size} must be a nonnegative integer\n"
     )
+
+
+def test_seed_is_not_an_option(capsys):
+    assert main(["validate", "--preset", "uq-sl3", "--seed", "1"]) == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
 def test_unknown_command(capsys):

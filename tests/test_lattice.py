@@ -2,7 +2,6 @@
 
 import itertools
 import random
-from fractions import Fraction
 from math import gcd
 
 from cglkit.lattice import (
@@ -12,7 +11,6 @@ from cglkit.lattice import (
     lattices_equal,
     row_space_basis,
     smith_invariant_factors,
-    solve_rational,
 )
 
 
@@ -82,27 +80,54 @@ def test_integer_kernel_brute_force():
                 assert lattice_contains(basis, cand)
 
 
+def minor_gcd(A, k):
+    """gcd of all k x k minors of A (0 when every one vanishes)."""
+    g = 0
+    for rows in itertools.combinations(range(len(A)), k):
+        for cols in itertools.combinations(range(len(A[0])), k):
+            g = gcd(g, det([[A[r][c] for c in cols] for r in rows]))
+    return g
+
+
+def minor_gcd_invariants(A):
+    """Oracle: s_k = d_k / d_{k-1} with d_k the gcd of the k x k minors."""
+    expected = []
+    prev = 1
+    for k in range(1, min(len(A), len(A[0])) + 1):
+        g = minor_gcd(A, k)
+        if g == 0:
+            break
+        expected.append(g // prev)
+        prev = g
+    return expected
+
+
 def test_smith_invariants_vs_minor_gcd():
     rng = random.Random(5)
     for _ in range(15):
-        n = rng.randint(1, 3)
-        m = rng.randint(1, 3)
-        A = rand_matrix(rng, n, m, -3, 3)
-        inv = smith_invariant_factors(A)
-        # oracle: d_k = gcd of all k x k minors; s_k = d_k / d_{k-1}
-        expected = []
-        prev = 1
-        for k in range(1, min(n, m) + 1):
-            g = 0
-            for rows in itertools.combinations(range(n), k):
-                for cols in itertools.combinations(range(m), k):
-                    sub = [[A[r][c] for c in cols] for r in rows]
-                    g = gcd(g, abs(det(sub)))
-            if g == 0:
-                break
-            expected.append(g // prev)
-            prev = g
-        assert inv == expected
+        A = rand_matrix(rng, rng.randint(1, 3), rng.randint(1, 3), -3, 3)
+        assert smith_invariant_factors(A) == minor_gcd_invariants(A)
+
+
+# invariant factors 1, 1, 1, 1, 6; an elimination that clears one row and
+# column at a time, swapping each nonzero remainder into the pivot, ran for
+# more than 60 s on it
+CYCLING_5X7 = [
+    [0, -20, -45, -29, 18, 47, 0],
+    [-3, -36, 0, 0, -33, 48, -45],
+    [0, 50, -34, 28, -2, 20, 0],
+    [0, 22, -36, -15, 0, -49, -49],
+    [0, -45, 0, 3, 7, -20, -37],
+]
+
+
+def test_smith_invariants_vs_minor_gcd_up_to_5x7():
+    rng = random.Random(1)
+    matrices = [CYCLING_5X7] + [
+        rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 7), -50, 50) for _ in range(30)
+    ]
+    for A in matrices:
+        assert smith_invariant_factors(A) == minor_gcd_invariants(A), A
 
 
 def test_smith_divisibility_chain():
@@ -114,15 +139,6 @@ def test_smith_divisibility_chain():
             assert b % a == 0
 
 
-def test_solve_rational():
-    basis = [[2, 0, 1], [0, 3, 1]]
-    coords = solve_rational(basis, [2, 3, 2])
-    assert coords == [Fraction(1), Fraction(1)]
-    coords = solve_rational(basis, [1, 0, Fraction(1, 2)])
-    assert coords == [Fraction(1, 2), Fraction(0)]
-    assert solve_rational(basis, [1, 1, 0]) is None
-
-
 def test_lattice_contains_and_equal():
     basis = [[2, 0], [0, 2]]
     assert lattice_contains(basis, [4, -2])
@@ -132,6 +148,21 @@ def test_lattice_contains_and_equal():
     # index-4 sublattice of 2Z^2: sums of coordinates are even
     assert not lattices_equal([[2, 0], [0, 2]], [[2, 2], [2, -2]])
     assert lattices_equal([], [])
+
+
+def test_lattice_contains_on_dependent_generators():
+    # (3, 0) - (2, 0) = (1, 0), although no single rational solution is integral
+    assert lattice_contains([[2, 0], [3, 0], [0, 1]], [1, 0])
+    # oracle for a full-rank L in Z^2: v lies in L iff adding v keeps the
+    # index of L, the gcd of its 2 x 2 minors
+    rng = random.Random(11)
+    for _ in range(20):
+        rows = rand_matrix(rng, 3, 2, -6, 6)
+        index = minor_gcd(rows, 2)
+        if index == 0:
+            continue
+        for v in itertools.product(range(-3, 4), repeat=2):
+            assert lattice_contains(rows, v) == (minor_gcd(rows + [list(v)], 2) == index)
 
 
 def test_row_space_basis_rank():

@@ -10,7 +10,13 @@ from cglkit import pbw, primes
 from cglkit.errors import AmbiguousPredecessor, NoGradingDefined, NoPredecessorSolution
 from cglkit.linalg import solve_in_span
 from cglkit.pbw import PBWPolynomial
-from cglkit.presentation import CGLPresentation, TorusData, permute_presentation
+from cglkit.lattice import lattices_equal
+from cglkit.presentation import (
+    CGLPresentation,
+    TorusData,
+    permute_presentation,
+    sample_interval_permutation,
+)
 from cglkit.presets import parse_preset_spec
 from cglkit.primes import (
     bicharacter_radical,
@@ -26,7 +32,7 @@ from cglkit.primes import (
     torus_center_basis,
     verify_quantum_affine,
 )
-from cglkit.scalars import LaurentFraction, ParameterSpace, SignedMonomial
+from cglkit.scalars import LaurentFraction, ParameterSpace, SignedMonomial, _power_product
 
 SYMMETRIC_PRESETS = [
     "quantum-affine:2",
@@ -228,9 +234,25 @@ def test_m22_radical_rank():
 
 @pytest.mark.parametrize("spec", ALL_PRESETS)
 def test_lambda_and_qmat_saturation_verdicts_agree(spec):
+    """The two verdicts agree, and each Smith verdict on a radical agrees with
+    comparing the radical to its saturation, the kernel of the exponent rows,
+    which contains it with equal rank: on lambda, on qmat, and on lambda after
+    interval permutations."""
     P = parse_preset_spec(spec)
     T = compute_y_elements(P)
     assert is_saturated(P.lam) == is_saturated(T.qmat)
+    matrices = [P.lam, T.qmat]
+    if spec in SYMMETRIC_PRESETS:
+        rng = random.Random(31)
+        for _ in range(3):
+            tau = sample_interval_permutation(P.N, rng)
+            matrices.append(permute_presentation(P, tau).lam)
+    for M in matrices:
+        rad = bicharacter_radical(M)
+        sat = saturation_closure(M)
+        assert rad.rank == sat.rank
+        assert all(sat.contains(v) for v in rad.basis)
+        assert is_saturated(M) == lattices_equal(rad.basis, sat.basis)
 
 
 def test_full_radical_for_trivial_bicharacter():
@@ -512,8 +534,8 @@ def test_c_is_delta_over_s_times_lambda_minus_one(spec):
     for k, c in T.c.items():
         j = T.eta_data.pred[k]
         h_k = P.torus.h[k]
-        s_j = P.torus.eigenvalue(T.characters[j], h_k).to_fraction()
-        lambda_k = P.torus.eigenvalue(P.torus.chi[k], h_k).to_fraction()
+        s_j = _power_product(P.space, h_k, T.characters[j]).to_fraction()
+        lambda_k = _power_product(P.space, h_k, P.torus.chi[k]).to_fraction()
         assert c == P.delta(k, T.y[j]).scale(1 / (s_j * (lambda_k - 1))), k
 
 
