@@ -8,7 +8,8 @@ Serre reduction.  ``centralizer`` solves for a centralizer eigenspace,
 and ``audit-endo`` inverts the degree-zero part of an endomorphism.
 ``validate`` and ``y-elements`` on files written by ``preset emit``, and
 ``validate`` on one broken file, load each presentation through
-``CGLPresentation.from_json_dict``.  Each case replays one argument list
+``CGLPresentation.from_json_dict``; ``validate`` on presets covers the
+rewriting-consistency sweep at N up to 16.  Each case replays one argument list
 through ``cli.main`` and compares stdout, stderr, the exit code and the
 ``--json`` payload byte for byte with the files in ``tests/data/frozen``.
 The input files the cases read are kept in ``tests/data/frozen/inputs``.
@@ -85,6 +86,19 @@ def _cases():
     broken = "oq-matrices:2,2-broken"
     argv = ["validate", INPUTS / f"{_slug('preset', broken)}.json"]
     cases.append((_slug("validate", "file", broken), argv))
+    # validate on presets, recorded with the sweep over all N^3 generator
+    # triples, and once at fuel factor 0, where only the 64-step floor of
+    # the fuel budget is left
+    for preset in [
+        "oq-matrices:3,5",
+        "oq-matrices:4,4",
+        "multiparam-matrices:4",
+        "uq-sl3",
+        "quantum-plane-minus-one",
+    ]:
+        cases.append((_slug("validate", preset), ["validate", "--preset", preset]))
+    argv = ["validate", "--fuel", "0", "--preset", "oq-matrices:3,3"]
+    cases.append((_slug("validate", "fuel-0", "oq-matrices:3,3"), argv))
     return cases
 
 
