@@ -25,7 +25,12 @@ from .errors import (
     SingularDegreeZeroPart,
     UnknownPreset,
 )
-from .presentation import CGLPresentation, validate_cgl, validate_symmetric
+from .presentation import (
+    CGLPresentation,
+    check_torus_covering,
+    validate_cgl,
+    validate_symmetric,
+)
 from .primes import (
     bicharacter_radical,
     compute_y_elements,
@@ -33,6 +38,7 @@ from .primes import (
     rank_of,
     torus_center_basis,
 )
+from .reporting import ValidationReport
 from .structure import (
     core_decomposition,
     nakayama_automorphism,
@@ -125,6 +131,12 @@ def cmd_y_elements(P, args):
 
 
 def cmd_nakayama(P, args):
+    # the formula for nu holds on CGL extensions; axiom (iii) is the torus
+    # hypothesis that nothing else in the computation checks
+    rep = ValidationReport(subject=f"torus axiom (iii) for {P.name or 'presentation'}")
+    if not check_torus_covering(P, rep).passed:
+        print(rep)
+        return 1, rep.to_dict()
     nu = nakayama_automorphism(P)
     print(f"eigenvalues [{', '.join(str(v) for v in nu.eigenvalues)}]")
     return 0, nu.to_json_dict()

@@ -7,7 +7,7 @@ y-element recursion; uq-sl3 has quotient scalars, and building it solves its
 Serre reduction.  ``centralizer`` solves for a centralizer eigenspace,
 and ``audit-endo`` inverts the degree-zero part of an endomorphism.
 ``validate`` and ``y-elements`` on files written by ``preset emit``, and
-``validate`` on one broken file, load each presentation through
+``validate`` and ``nakayama`` on broken files, load each presentation through
 ``CGLPresentation.from_json_dict``; ``validate`` on presets covers the
 rewriting-consistency sweep at N up to 16.  Each case replays one argument list
 through ``cli.main`` and compares stdout, stderr, the exit code and the
@@ -86,6 +86,11 @@ def _cases():
     broken = "oq-matrices:2,2-broken"
     argv = ["validate", INPUTS / f"{_slug('preset', broken)}.json"]
     cases.append((_slug("validate", "file", broken), argv))
+    # quantum-affine:2 on a rank-0 torus, which fails both axiom (iii) checks,
+    # so that nakayama reports them instead of eigenvalues
+    bad_torus = "quantum-affine:2-rank-0-torus"
+    argv = ["nakayama", INPUTS / f"{_slug('preset', bad_torus)}.json"]
+    cases.append((_slug("nakayama", "file", bad_torus), argv))
     # validate on presets, recorded with the sweep over all N^3 generator
     # triples, and once at fuel factor 0, where only the 64-step floor of
     # the fuel budget is left

@@ -1,11 +1,15 @@
 """Presentation data model: validators, JSON schema, permutations, reversal."""
 
+import itertools
 import json
 import random
+from math import comb
+from pathlib import Path
 
 import pytest
 
 from cglkit.errors import (
+    DivergenceBudgetExceeded,
     MalformedPresentation,
     MissingHStar,
     NotInXi,
@@ -39,6 +43,12 @@ ALL_PRESETS = [
     "quantum-plane-minus-one",
 ]
 SYMMETRIC_PRESETS = ALL_PRESETS[:-1]
+# oq-matrices:2,2 with a diagonal lambda entry, a lower lambda entry, a Q
+# term and an h* entry changed
+BROKEN_OQ22 = (
+    Path(__file__).resolve().parent / "data" / "frozen" / "inputs"
+    / "preset_oq-matrices_2-2-broken.json"
+)
 
 
 @pytest.mark.parametrize("spec", ALL_PRESETS)
@@ -329,8 +339,9 @@ def test_generator_index_out_of_range():
             P.x(i)
 
 
-def test_associativity_sweep_reuses_each_bc_product(monkeypatch):
-    P = parse_preset_spec("oq-matrices:2,3")
+def _validate_counting_products(monkeypatch, P):
+    """validate_cgl(P), and the PBW products it makes besides the two of each
+    delta_k step of the nilpotency check."""
     products = []
     delta_steps = []
     multiply, delta = pbw.multiply, P.delta
@@ -345,9 +356,102 @@ def test_associativity_sweep_reuses_each_bc_product(monkeypatch):
 
     monkeypatch.setattr(pbw, "multiply", counting_multiply)
     monkeypatch.setattr(P, "delta", counting_delta)
-    assert validate_cgl(P).passed
-    # every delta_k step of the nilpotency check makes two products; the
-    # sweep makes x_a x_b and (x_a x_b) x_c and x_a (x_b x_c) and, once, x_b x_c
+    rep = validate_cgl(P)
     assert delta_steps
+    return rep, len(products) - 2 * len(delta_steps)
+
+
+def test_associativity_sweep_reuses_each_bc_product(monkeypatch):
+    P = parse_preset_spec("oq-matrices:2,3")
+    rep, products = _validate_counting_products(monkeypatch, P)
+    assert rep.passed
+    # the overlap sweep makes x_a x_b for a > b > 0, (x_a x_b) x_c and
+    # x_a (x_b x_c) for a > b > c and, once, x_b x_c for N - 1 > b > c
     N = P.N
-    assert len(products) - 2 * len(delta_steps) == 2 * N**3 + 2 * N**2
+    assert products == (N - 1) * (N - 2) + 2 * comb(N, 3)
+
+
+def test_failed_overlap_falls_back_to_the_full_sweep(monkeypatch):
+    P = CGLPresentation.from_json(BROKEN_OQ22.read_text(encoding="utf-8"))
+    rep, products = _validate_counting_products(monkeypatch, P)
+    assert _consistency_check(rep) == (False, "failing triples [(4, 2, 1), (4, 3, 1)]")
+    # the overlap sweep stops at its first failure (4, 2, 1) after x3 x2,
+    # (x3 x2) x1, x2 x1, x3 (x2 x1), x4 x2, (x4 x2) x1 and x4 (x2 x1); the
+    # full sweep then makes x_a x_b, (x_a x_b) x_c, x_a (x_b x_c) and x_b x_c
+    N = P.N
+    assert products == 7 + 2 * N**3 + 2 * N**2
+
+
+# -- the overlap sweep against a reference sweep over all N^3 triples --
+
+
+def _reference_consistency(P, triples):
+    """The failing 1-based triples among ``triples``, each product made afresh,
+    or the message of the first DivergenceBudgetExceeded."""
+    failing = []
+    try:
+        for a, b, c in triples:
+            xa, xb, xc = P.x(a), P.x(b), P.x(c)
+            if P.mul(P.mul(xa, xb), xc) != P.mul(xa, P.mul(xb, xc)):
+                failing.append((a + 1, b + 1, c + 1))
+    except DivergenceBudgetExceeded as exc:
+        return str(exc)
+    return failing
+
+
+def _reference_check(P):
+    """(passed, detail) of the consistency line as the full sweep reports it."""
+    failing = _reference_consistency(P, itertools.product(range(P.N), repeat=3))
+    if isinstance(failing, str):
+        return False, failing
+    return not failing, f"failing triples {failing[:5]}" if failing else ""
+
+
+def _consistency_check(rep):
+    (check,) = [c for c in rep.checks if c.name == "rewriting consistency on generator triples"]
+    return check.passed, check.detail
+
+
+def _with_extra_q_term(P, rng):
+    """P with c x_i added to one Q_{kj}, i < k, all three seeded."""
+    k = rng.randrange(1, P.N)
+    j, i = rng.randrange(k), rng.randrange(k)
+    term = PBWPolynomial.monomial(P.space, P.N, tuple(int(t == i) for t in range(P.N)))
+    poly = P.Q.get((k, j), PBWPolynomial.zero(P.space, P.N)) + term.scale(rng.choice([1, -1, 2]))
+    data = json.loads(P.to_json())
+    data["Q"][f"{k + 1},{j + 1}"] = P.format(poly)
+    return CGLPresentation.from_json_dict(data)
+
+
+@pytest.mark.parametrize("spec", ["oq-matrices:2,3", "multiparam-matrices:3", "uq-sl3"])
+def test_broken_q_term_reports_the_reference_failing_triples(spec):
+    P = parse_preset_spec(spec)
+    broken = 0
+    for seed in range(6):
+        Pc = _with_extra_q_term(P, random.Random(seed))
+        expected = _reference_check(Pc)
+        assert _consistency_check(validate_cgl(Pc)) == expected, f"seed {seed}"
+        broken += not expected[0]
+    # most changes break consistency; a change that keeps it passes both sweeps
+    assert broken >= 4
+
+
+@pytest.mark.parametrize("spec", ["oq-matrices:2,3", "multiparam-matrices:3"])
+def test_interval_permutations_pass_both_sweeps(spec):
+    P = parse_preset_spec(spec)
+    rng = random.Random(7)
+    for _ in range(3):
+        Pt = permute_presentation(P, sample_interval_permutation(P.N, rng))
+        assert _reference_check(Pt) == (True, "")
+        assert _consistency_check(validate_cgl(Pt)) == (True, "")
+
+
+def test_exhausted_overlap_reports_the_full_sweep_exception():
+    data = json.loads(parse_preset_spec("quantum-affine:3").to_json())
+    data["Q"] = {"2,1": "x1^2", "3,1": "x2^5"}
+    P = CGLPresentation.from_json_dict(data, fuel_factor=0)
+    overlaps = [(a, b, c) for a in range(P.N) for b in range(a) for c in range(b)]
+    assert _reference_consistency(P, overlaps).startswith("fuel exhausted")
+    expected = _reference_check(P)
+    assert not expected[0] and expected[1].startswith("fuel exhausted")
+    assert _consistency_check(validate_cgl(P)) == expected
