@@ -2,21 +2,48 @@
 
 Elements are K-linear combinations of ordered monomials
 x_1^{a_1} ... x_N^{a_N}, stored as dicts mapping exponent tuples to
-``LaurentFraction`` coefficients.  Multiplication rewrites unordered words
-with the presentation's commutation data
+``LaurentFraction`` coefficients.  Products rewrite unordered words with the
+presentation's commutation data
 
     x_k x_j  =  lambda_{kj} x_j x_k + Q_{kj}        (k > j)
 
-choosing the leftmost adjacent descent each step (an alternative rightmost
-strategy exists for confluence probes).  Termination is not assumed: every
-normalization call runs under a fuel budget proportional to
-(degree)^2 * N^2 and raises DivergenceBudgetExceeded when exhausted.
+choosing the leftmost adjacent descent each step, or the rightmost one for
+confluence probes.  Termination is not assumed: rewriting runs under a fuel
+budget proportional to (degree)^2 * N^2 and raises DivergenceBudgetExceeded
+when it is exhausted.
 
 The ordered monomials form a PBW basis, so a monomial pair m1 * m2 in which
 no letter of m1 comes after the first letter of m2 is already the basis
 monomial m1 + m2.  ``multiply`` adds such pairs directly: their concatenated
 word has no descent, so neither strategy would rewrite it or spend fuel on
 it, and the rightmost path stays independent on every pair that rewrites.
+
+Leftmost products are built by one-letter insertion (the multiplication
+table of Plural, Levandovskyy and Schoenemann, ISSAC 2003).  While a word X
+is not ordered its leftmost descent lies inside X, so the leftmost normal
+form satisfies NF(XY) = NF(NF(X) Y) for all words X and Y, with no
+confluence assumed; products are identical to those of ``normalize_words``
+on every presentation.  Hence
+
+* x^m1 x^m2 appends the letters of m2 one at a time, and equal monomials
+  merge before the next letter;
+* x^m x_v moves x_v left past each letter u > v of m.  Each move multiplies
+  in lambda_{uv} and starts a branch head Q_{uv} tail.  Q_{uv} lies on
+  letters below u, and tail on letters from u on, so the branch is again a
+  pair product, head times each monomial of Q_{uv};
+* letters of the right factor at or after the last letter of the left one
+  never move (rewriting creates no letter above those of its word), so a
+  pair is the product of m1 with the letters of m2 before that last letter,
+  shifted by the others.
+
+These products are memoized in ``P.pair_cache``, keyed by the monomial pair.
+Each entry records its rewrite steps: one per move of a letter, plus the
+recorded steps of every entry it reads, whether the read hits or misses.  So
+the steps do not depend on what the cache already held, and since equal
+monomials merge, they never exceed the steps ``normalize_words`` takes on
+the same word.  An entry whose steps exceed ``_fuel_budget`` of its own
+degree raises and is not cached.  ``normalize_words`` remains the path of the
+rightmost strategy and of ``order_positions``.
 
 Generator indices are 0-based throughout the code; the 1-based names
 x1..xN appear only in parsed/serialized text.
@@ -25,7 +52,7 @@ x1..xN appear only in parsed/serialized text.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, count
+from itertools import chain, compress, count
 from operator import add, mul
 
 from .errors import (
@@ -214,9 +241,12 @@ def monomial_of_word(word, N, positions=None):
     return tuple(exps)
 
 
+_FUEL_FLOOR = 64  # the least budget of any word
+
+
 def _fuel_budget(P, d):
     """Rewrite steps allowed for words of degree at most d (pi-degree, else length)."""
-    return max(64, P.fuel_factor * (d + 1) * (d + 1) * max(1, P.N) * max(1, P.N))
+    return max(_FUEL_FLOOR, P.fuel_factor * (d + 1) * (d + 1) * max(1, P.N) * max(1, P.N))
 
 
 def _monomial_weight(degs, mono):
@@ -293,15 +323,20 @@ def multiply(p, r, P, strategy="leftmost"):
     A monomial pair whose last letter of m1 is at most the first letter of
     m2 is already ordered: it contributes x^(m1 + m2) with coefficient
     c1 * c2, the result of either strategy on a word without descent, and
-    touches neither the rewriter nor the pair cache.  Every other pair is
-    normalized once per presentation (leftmost strategy, memoized on P) or
-    on every call (rightmost strategy, never cached), under the fuel budget
-    of its word's degree.
+    touches neither the rewriter nor the pair cache.
+
+    Every other pair is rewritten.  Under the leftmost strategy the letters
+    of m2 at or after the last letter of m1 never move, so the pair is the
+    cached product of m1 with the letters of m2 before that letter (see the
+    module docstring), shifted by the rest.  Under the rightmost strategy,
+    and should the insertion nest deeper than the interpreter's recursion
+    limit, ``normalize_words`` rewrites the pair's word on every call, under
+    the fuel budget of its degree.
     """
     p = _as_poly(p, P)
     r = _as_poly(r, P)
     out = {}
-    cache = P.pair_cache if strategy == "leftmost" else None
+    zero = (0,) * P.N
     columns = [(m2, c2, _first_letter(m2)) for m2, c2 in r.terms.items()]
     for m1, c1 in p.terms.items():
         last = _last_letter(m1)
@@ -309,19 +344,139 @@ def multiply(p, r, P, strategy="leftmost"):
             if last <= first:
                 _add_term(out, tuple(map(add, m1, m2)), c1 * c2)
                 continue
-            key = (m1, m2)
-            prod = cache.get(key) if cache is not None else None
+            prod = None
+            if strategy == "leftmost":
+                low, high = _split_at(m2, last, zero)
+                try:
+                    prod = _entry_terms(_pair_entry(P, m1, low))
+                except RecursionError:
+                    pass
             if prod is None:
                 degs = P.generator_degrees()
                 fuel = _fuel_budget(P, _monomial_weight(degs, m1) + _monomial_weight(degs, m2))
                 word = word_of_monomial(m1) + word_of_monomial(m2)
                 prod = normalize_words(P, [(P.unit, word)], strategy=strategy, fuel=fuel)
-                if cache is not None:
-                    cache[key] = prod
+                prod, high = prod.terms.items(), zero
             scalar = c1 * c2
-            for mono, c in prod.terms.items():
-                _add_term(out, mono, c * scalar)
+            if high is zero:
+                for mono, c in prod:
+                    _add_term(out, mono, c * scalar)
+            else:
+                for mono, c in prod:
+                    _add_term(out, tuple(map(add, mono, high)), c * scalar)
     return PBWPolynomial._trusted(P.space, P.N, out)
+
+
+def _split_at(mono, k, zero):
+    """(the letters of mono below k, the others), as two exponent tuples.
+
+    With no letter from k on, they are mono itself and ``zero`` itself.
+    """
+    if not any(mono[k:]):
+        return mono, zero
+    return mono[:k] + zero[k:], zero[:k] + mono[k:]
+
+
+def _shift(mono, high):
+    return tuple(map(add, mono, high)) if any(high) else mono
+
+
+def _pair_entry(P, m1, m2):
+    """The pair_cache entry of x^m1 * x^m2, built when missing.
+
+    Every letter of m2 comes before the last letter of m1.  An entry is the
+    tuple (steps, m_1, c_1, ..., m_n, c_n) of its rewrite steps and terms.
+    """
+    entry = P.pair_cache.get((m1, m2))
+    if entry is None:
+        entry = (_insert_letter if sum(m2) == 1 else _append_word)(P, m1, m2)
+    return entry
+
+
+def _insert_letter(P, m1, m2):
+    """Build the entry of x^m1 * x_v (m2 = e_v) by moving x_v left past each letter u > v.
+
+    Each move multiplies in lambda_{uv} and branches into head * Q_{uv} * tail,
+    which is the entry of head times the letters of each monomial of Q_{uv}
+    before the last letter of head, shifted by its other letters and tail.
+    """
+    zero = (0,) * P.N
+    v = m2.index(1)
+    terms = {}
+    head = list(m1)
+    tail = list(zero)
+    coeff = P.unit
+    # no budget is below _FUEL_FLOOR, so _charge works one out only past it
+    steps, limit = 0, _FUEL_FLOOR
+    for u in range(_last_letter(m1), v, -1):
+        for _ in range(m1[u]):
+            head[u] -= 1
+            steps += 1
+            qhat = P.qhat(u, v)
+            if qhat is not None:
+                h = tuple(head)
+                k = max(_last_letter(h), 0)
+                for qm, qc in qhat.terms.items():
+                    low, high = _split_at(qm, k, zero)
+                    high = tuple(map(add, high, tail))
+                    c = coeff * qc
+                    if not any(low):
+                        _add_term(terms, tuple(map(add, h, high)), c)
+                        continue
+                    entry = _pair_entry(P, h, low)
+                    steps += entry[0]
+                    for mono, sc in _entry_terms(entry):
+                        _add_term(terms, _shift(mono, high), sc * c)
+            if steps > limit:
+                limit = _charge(P, m1, m2, steps)
+            coeff = coeff * P.lam_fraction(u, v)
+            tail[u] += 1
+    _add_term(terms, tuple(map(add, m1, m2)), coeff)
+    return _store(P, m1, m2, steps, terms)
+
+
+def _append_word(P, m1, m2):
+    """Build the entry of x^m1 * x^m2 one letter of m2 at a time, from single-letter entries."""
+    terms = {m1: P.unit}
+    steps, limit = 0, _FUEL_FLOOR
+    for v in word_of_monomial(m2):
+        # the generator's own exponent tuple, shared by every key that uses it
+        e_v = next(iter(P.x(v).terms))
+        nxt = {}
+        for m, c in terms.items():
+            if not any(m[v + 1 :]):
+                _add_term(nxt, tuple(map(add, m, e_v)), c)
+                continue
+            entry = _pair_entry(P, m, e_v)
+            steps += entry[0]
+            if steps > limit:
+                limit = _charge(P, m1, m2, steps)
+            for mono, sc in _entry_terms(entry):
+                _add_term(nxt, mono, sc * c)
+        terms = nxt
+    return _store(P, m1, m2, steps, terms)
+
+
+def _store(P, m1, m2, steps, terms):
+    # a flat tuple: each entry costs about 100 bytes less than with a term dict
+    entry = P.pair_cache[(m1, m2)] = (steps, *chain.from_iterable(terms.items()))
+    return entry
+
+
+def _entry_terms(entry):
+    """The (monomial, coefficient) pairs of a pair_cache entry."""
+    return zip(entry[1::2], entry[2::2])
+
+
+def _charge(P, m1, m2, steps):
+    """The fuel budget of x^m1 * x^m2; raises when steps exceed it."""
+    degs = P.generator_degrees()
+    budget = _fuel_budget(P, _monomial_weight(degs, m1) + _monomial_weight(degs, m2))
+    if steps > budget:
+        raise DivergenceBudgetExceeded(
+            f"fuel exhausted while multiplying words of length {sum(m1)} and {sum(m2)}"
+        )
+    return budget
 
 
 def power(p, k, P):

@@ -185,7 +185,8 @@ def _solve_predecessor(P, y_j, chain_j, k, target_chi):
     sigma_k(y_j) = s_j y_j with s_j = prod of lambda_{k c} over chain_j, and
     the x_k condition y x_k = gamma_k x_k y has gamma_k = 1/s_j.  Its x_k^1
     coefficient reads (mu_m - s_j) c_m = Delta_m for every monomial m, where
-    Delta = delta_k(y_j) = x_k y_j - sigma_k(y_j) x_k.  By axiom (iii)
+    Delta = delta_k(y_j) = x_k y_j - sigma_k(y_j) x_k = x_k y_j - s_j (y_j x_k),
+    so y_j x_k is made once, for Delta and for y.  By axiom (iii)
     mu_m = s_j lambda_k on the target character, lambda_k = chi_k(h_k) not a
     root of unity, so c = Delta / (s_j (lambda_k - 1)).
 
@@ -199,14 +200,15 @@ def _solve_predecessor(P, y_j, chain_j, k, target_chi):
     raises AmbiguousPredecessor.
     """
     s_j = prod((P.lam[k][u] for u in chain_j), start=SignedMonomial.one(P.space))
+    lead = P.mul(y_j, P.x(k))
     terms = {}
-    for m, coeff in P.delta(k, y_j).terms.items():
+    for m, coeff in (P.mul(P.x(k), y_j) - lead.scale(s_j.to_fraction())).terms.items():
         mu = _power_product(P.space, P.lam[k], m)
         if mu == s_j:
             return None
         terms[m] = coeff / (mu.to_fraction() - s_j.to_fraction())
     c = PBWPolynomial(P.space, P.N, terms)
-    y = P.mul(y_j, P.x(k)) - c
+    y = lead - c
     chain = [k] + chain_j
     for i in range(k + 1):
         gamma = prod((P.lam_fraction(u, i) for u in chain), start=P.unit)

@@ -38,7 +38,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from operator import add
 
 from .errors import DivisionByZero, NotAMonomial
@@ -684,5 +684,12 @@ class SignedMonomial:
 
 
 def _power_product(space, bases, exps) -> "SignedMonomial":
-    """prod_i bases[i]^exps[i] for SignedMonomial bases."""
-    return prod((b**e for b, e in zip(bases, exps) if e), start=SignedMonomial.one(space))
+    """prod_i bases[i]^exps[i] for SignedMonomial bases, built as one SignedMonomial."""
+    coeff = Fraction(1)
+    total = [0] * space.m
+    for base, e in zip(bases, exps):
+        if e:
+            coeff *= base.coeff**e
+            for i, x in enumerate(base.exps):
+                total[i] += e * x
+    return SignedMonomial(space, coeff, tuple(total))

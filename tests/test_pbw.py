@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -212,9 +213,123 @@ def test_ordered_pairs_skip_the_rewriter_and_the_pair_cache(monkeypatch):
     for strategy in ("leftmost", "rightmost"):
         assert multiply(p, r, P, strategy=strategy) == PBWPolynomial(P.space, P.N, expected)
     assert words == [] and len(P.pair_cache) == entries
-    # an unordered pair does reach the rewriter, and the leftmost product is cached
+    # an unordered pair is rewritten: the leftmost product by one-letter
+    # insertion into one new cache entry, the rightmost one by the rewriter
     multiply(P.x(3), P.x(0), P, strategy="leftmost")
+    assert words == [] and len(P.pair_cache) == entries + 1
+    multiply(P.x(3), P.x(0), P, strategy="rightmost")
     assert words == [[3, 0]] and len(P.pair_cache) == entries + 1
+
+
+# oq-matrices:2,2 with a changed Q term: rewriting is not confluent there
+BROKEN_OQ22 = (
+    Path(__file__).resolve().parent / "data" / "frozen" / "inputs"
+    / "preset_oq-matrices_2-2-broken.json"
+)
+
+
+def insertion_presentations(fuel_factor):
+    """Builders of the broken oq 2,2 file, a permuted oq 2,3 and uq-sl3 (Q of several terms)."""
+
+    def broken():
+        return CGLPresentation.from_json(BROKEN_OQ22.read_text(), fuel_factor=fuel_factor)
+
+    def permuted():
+        P = permute_presentation(parse_preset_spec("oq-matrices:2,3"), [2, 1, 3, 0, 4, 5])
+        P.fuel_factor = fuel_factor
+        return P
+
+    def sl3():
+        P = parse_preset_spec("uq-sl3")
+        P.fuel_factor = fuel_factor
+        return P
+
+    return [broken, permuted, sl3]
+
+
+def stack_product(P, a, b):
+    """a * b from normalize_words, one word per monomial pair."""
+    out = PBWPolynomial.zero(P.space, P.N)
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            word = pbw.word_of_monomial(m1) + pbw.word_of_monomial(m2)
+            out = out + normalize_words(P, [(c1 * c2, word)])
+    return out
+
+
+def test_leftmost_products_equal_the_stack_rewriter():
+    rng = random.Random(1515)
+    for build in insertion_presentations(fuel_factor=8):
+        P = build()
+        for _ in range(12):
+            a, b = rand_poly(P, rng, max_exp=1), rand_poly(P, rng, max_exp=1)
+            got, expected = multiply(a, b, P), stack_product(P, a, b)
+            assert got == expected and set(got.terms) == set(expected.terms)
+
+
+def test_insertion_charges_at_most_the_stack_rewriter_steps():
+    rng = random.Random(5)
+    checked = 0
+    for build in insertion_presentations(fuel_factor=8):
+        P = build()
+        zero = (0,) * P.N
+
+        def mono():
+            exps = [0] * P.N
+            for _ in range(rng.randint(1, 4)):
+                exps[rng.randrange(P.N)] += 1
+            return tuple(exps)
+
+        for _ in range(40):
+            m1, m2 = mono(), mono()
+            last = pbw._last_letter(m1)
+            if last <= pbw._first_letter(m2):
+                continue
+            low, _ = pbw._split_at(m2, last, zero)
+            steps = pbw._pair_entry(P, m1, low)[0]
+            word = pbw.word_of_monomial(m1) + pbw.word_of_monomial(m2)
+            # the stack rewriter cannot finish the word in fewer steps
+            with pytest.raises(DivergenceBudgetExceeded):
+                normalize_words(P, [(P.unit, word)], fuel=steps - 1)
+            checked += 1
+    assert checked == 88
+
+
+def test_fuel_verdicts_do_not_depend_on_the_cache():
+    """At fuel factor 0 every budget is 64 steps: each product raises or
+    completes alike on a fresh presentation and on one that already made the
+    others, in either order."""
+    rng = random.Random(77)
+    raised = completed = 0
+    for build in insertion_presentations(fuel_factor=0):
+
+        def outcome(P, a, b):
+            try:
+                return P.format(multiply(a, b, P))
+            except DivergenceBudgetExceeded:
+                return None
+
+        P = build()
+        cases = [(rand_poly(P, rng, 2, 2), rand_poly(P, rng, 2, 2)) for _ in range(10)]
+        fresh = [outcome(build(), a, b) for a, b in cases]
+        warm = build()
+        backwards = [outcome(warm, a, b) for a, b in reversed(cases)]
+        assert fresh == backwards[::-1] == [outcome(warm, a, b) for a, b in cases]
+        raised += fresh.count(None)
+        completed += len(fresh) - fresh.count(None)
+    assert (raised, completed) == (6, 24)
+
+
+def test_insertion_too_deep_for_the_interpreter_falls_back_to_the_rewriter(monkeypatch):
+    def too_deep(P, m1, m2):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(pbw, "_pair_entry", too_deep)
+    P = parse_preset_spec("uq-sl3")
+    a = PBWPolynomial.monomial(P.space, P.N, (1, 0, 3))
+    b = PBWPolynomial.monomial(P.space, P.N, (3, 1, 1))
+    assert multiply(a, b, P) == stack_product(P, a, b) != PBWPolynomial.zero(P.space, P.N)
+    assert P.pair_cache == {}
 
 
 def _ungraded(P):

@@ -497,9 +497,9 @@ def test_closed_form_matches_the_full_system(spec, tau, monkeypatch):
 
 def test_y_element_recursion_product_count(monkeypatch):
     """The products of the recursion on oq-matrices:3,3: each candidate
-    makes 2 for delta_k(y_j), 1 for the lead y_j x_k and at most 2(k + 1)
-    for the direct check, 138 in all, against 454 when every candidate
-    posed all k + 1 normality rows."""
+    makes x_k y_j and the lead y_j x_k, which together give delta_k(y_j),
+    and at most 2(k + 1) for the direct check, 120 in all, against 454 when
+    every candidate posed all k + 1 normality rows."""
     P = parse_preset_spec("oq-matrices:3,3")
     products = []
     multiply = pbw.multiply
@@ -510,7 +510,7 @@ def test_y_element_recursion_product_count(monkeypatch):
 
     monkeypatch.setattr(pbw, "multiply", counting_multiply)
     compute_y_elements(P)
-    assert len(products) == 138 < 454
+    assert len(products) == 120 < 454
 
 
 @pytest.mark.parametrize(
