@@ -58,7 +58,8 @@ def build_parser():
         prog="cgl", description="Iterated Ore extension toolkit"
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    # each command on a presentation names its handler, called as handler(P, args)
+    # each command on a presentation names its handler, called as handler(P, args);
+    # a handler prints its report and returns (exit code, JSON payload thunk)
     for name, helptext, handler in [
         ("validate", "check the CGL extension axioms", cmd_validate),
         ("y-elements", "compute the homogeneous prime elements", cmd_y_elements),
@@ -113,8 +114,8 @@ def cmd_validate(P, args):
         reports.append(validate_symmetric(P))
     for rep in reports:
         print(rep)
-    payload = {"reports": [rep.to_dict() for rep in reports]}
-    return (0 if all(rep.passed for rep in reports) else 1), payload
+    code = 0 if all(rep.passed for rep in reports) else 1
+    return code, lambda: {"reports": [rep.to_dict() for rep in reports]}
 
 
 def cmd_y_elements(P, args):
@@ -127,7 +128,7 @@ def cmd_y_elements(P, args):
     print(f"pred = [{', '.join(pred)}]")
     print(f"succ = [{', '.join(succ)}]")
     print(f"finals = {_set_text(T.finals())}")
-    return 0, T.to_json_dict(P)
+    return 0, lambda: T.to_json_dict(P)
 
 
 def cmd_nakayama(P, args):
@@ -136,10 +137,10 @@ def cmd_nakayama(P, args):
     rep = ValidationReport(subject=f"torus axiom (iii) for {P.name or 'presentation'}")
     if not check_torus_covering(P, rep).passed:
         print(rep)
-        return 1, rep.to_dict()
+        return 1, rep.to_dict
     nu = nakayama_automorphism(P)
     print(f"eigenvalues [{', '.join(str(v) for v in nu.eigenvalues)}]")
-    return 0, nu.to_json_dict()
+    return 0, nu.to_json_dict
 
 
 def cmd_verify_nakayama(P, args):
@@ -147,7 +148,7 @@ def cmd_verify_nakayama(P, args):
     nu = nakayama_automorphism(P)
     rep = verify_nakayama_by_normal_element(P, T, nu)
     print(rep)
-    return (0 if rep.passed else 1), rep.to_dict()
+    return (0 if rep.passed else 1), rep.to_dict
 
 
 def cmd_core(P, args):
@@ -158,7 +159,7 @@ def cmd_core(P, args):
     print(f"C_x = {_set_text(D.C_x)}")
     print(f"core generators: {len(D.C_x)}")
     print(D.core_report)
-    return (0 if D.core_report.passed else 1), D.to_json_dict()
+    return (0 if D.core_report.passed else 1), D.to_json_dict
 
 
 def cmd_saturation(P, args):
@@ -173,14 +174,13 @@ def cmd_saturation(P, args):
     rad_q = bicharacter_radical(T.qmat)
     print(f"radical rank (generators): {rad_lam.rank}")
     print(f"radical rank (primes): {rad_q.rank}")
-    payload = {
+    return (0 if lam_ok and qmat_ok and agree else 1), lambda: {
         "lambda_saturated": lam_ok,
         "qmat_saturated": qmat_ok,
         "agree": agree,
         "lambda_radical": rad_lam.to_json_dict(),
         "qmat_radical": rad_q.to_json_dict(),
     }
-    return (0 if lam_ok and qmat_ok and agree else 1), payload
 
 
 def cmd_center(P, args):
@@ -190,14 +190,14 @@ def cmd_center(P, args):
     for row, flag in zip(C.lattice.basis, C.nonnegative):
         tag = "monomial" if flag else "fraction"
         print(f"  {list(row)}  ({tag})")
-    return 0, C.to_json_dict()
+    return 0, C.to_json_dict
 
 
 def cmd_rank(P, args):
     T = compute_y_elements(P)
     r = rank_of(P, T)
     print(f"rank = {r}")
-    return 0, {"rank": r}
+    return 0, lambda: {"rank": r}
 
 
 def cmd_audit_endo(P, args):
@@ -212,12 +212,12 @@ def cmd_audit_endo(P, args):
         raise MalformedPresentation(f"{args.endo}: {exc}") from exc
     reports = [verify_endomorphism(P, e)]
     print(reports[0])
-    payload = {}
+    extra = {}
     uni = None
     if P.generator_degrees() is not None:
         uni = is_unipotent(P, e)
         print(f"unipotent: {'yes' if uni else 'no'}")
-        payload["unipotent"] = uni
+        extra["unipotent"] = uni
     if reports[0].passed and uni and P.torus.h_star is not None:
         T = compute_y_elements(P)
         D = core_decomposition(P, T)
@@ -233,8 +233,8 @@ def cmd_audit_endo(P, args):
             print("note: not filtered; graded factorization skipped")
         except SingularDegreeZeroPart:
             print("note: degree-zero part singular; bijectivity not certified")
-    payload["reports"] = [rep.to_dict() for rep in reports]
-    return (0 if all(rep.passed for rep in reports) else 1), payload
+    code = 0 if all(rep.passed for rep in reports) else 1
+    return code, lambda: {**extra, "reports": [rep.to_dict() for rep in reports]}
 
 
 def cmd_centralizer(P, args, parser):
@@ -245,7 +245,7 @@ def cmd_centralizer(P, args, parser):
         parser.error(f"unknown generator {args.gen!r}")
     d = centralizer_eigenspace_dim(P, P.x(idx), args.s)
     print(f"dim C_{args.s}({args.gen}) = {d}")
-    return 0, {"dim": d}
+    return 0, lambda: {"dim": d}
 
 
 def cmd_preset(args, parser):
@@ -255,7 +255,7 @@ def cmd_preset(args, parser):
             _, helptext = preset_catalog.CATALOG[name]
             lines.append(f"{name}  {helptext}")
             print(lines[-1])
-        return 0, {"presets": lines}
+        return 0, lambda: {"presets": lines}
     if not args.preset:
         parser.error("preset emit requires --preset")
     P = preset_catalog.parse_preset_spec(args.preset)
@@ -280,6 +280,8 @@ def main(argv=None):
         else:
             P = _load_presentation(args, parser)
             code, payload = args.handler(P, args)
+        # the JSON payload is built only when it is written
+        payload = payload() if getattr(args, "json_out", None) and payload else None
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout: point it at devnull so that the flush at
@@ -306,7 +308,7 @@ def main(argv=None):
     except CGLError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if getattr(args, "json_out", None) and payload is not None:
+    if payload is not None:
         with open(args.json_out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")

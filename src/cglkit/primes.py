@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import lcm, prod
+from operator import mul
 
 from . import pbw
 from .errors import (
@@ -53,13 +54,6 @@ class EtaData:
     succ: list
     ominus: list
     oplus: list
-
-    def chain(self, k):
-        """[k, p(k), p^2(k), ...] down to the chain head."""
-        out = [k]
-        while self.pred[out[-1]] is not None:
-            out.append(self.pred[out[-1]])
-        return out
 
     def finals(self):
         """Indices with no successor; their y's are the primes of the full algebra."""
@@ -190,8 +184,10 @@ def _solve_predecessor(P, y_j, chain_j, k, target_chi):
     mu_m = s_j lambda_k on the target character, lambda_k = chi_k(h_k) not a
     root of unity, so c = Delta / (s_j (lambda_k - 1)).
 
-    c is formed term by term on the support of Delta; a zero mu_m - s_j there
-    makes the x_k row inconsistent, and there is no c.  y is then checked
+    c is formed term by term on the support of Delta.  Each divisor
+    mu_m - s_j is a difference of two signed monomials, by which ``scalars``
+    divides a Laurent Delta_m without a GCD; a zero mu_m - s_j makes the x_k
+    row inconsistent, and there is no c.  y is then checked
     directly, y x_i = gamma_i x_i y for i = 0..k with gamma_i the product of
     lambda_{u i} over the chain [k] + chain_j, so no verdict rests on the
     formula.  Only once y passes are the monomials of the target character
@@ -287,19 +283,18 @@ def compute_y_elements(P) -> YElementTable:
             oplus[k] = oplus[succ[k]] + 1
     eta_data = EtaData(eta=eta, pred=pred, succ=succ, ominus=ominus, oplus=oplus)
 
-    chains = [eta_data.chain(k) for k in range(N)]
-    one = SignedMonomial.one(P.space)
-    alpha = [
-        [prod((P.lam[j][c] for c in chains[k]), start=one) for k in range(N)]
-        for j in range(N)
-    ]
-    qmat = [
-        [
-            prod((P.lam[u][v] for u in chains[k] for v in chains[j]), start=one)
-            for j in range(N)
-        ]
-        for k in range(N)
-    ]
+    # chain_k = [k] + chain_p(k), so each entry is one product with an
+    # earlier one: alpha[j][k] = lambda_jk alpha[j][p(k)] over chain_k, and
+    # qmat[k][j] = alpha[k][j] qmat[p(k)][j] over chain_k x chain_j
+    alpha = []
+    for lam_j in P.lam:
+        row = []
+        for k, p in enumerate(pred):
+            row.append(lam_j[k] if p is None else lam_j[k] * row[p])
+        alpha.append(row)
+    qmat = []
+    for k, p in enumerate(pred):
+        qmat.append(list(alpha[k]) if p is None else list(map(mul, alpha[k], qmat[p])))
 
     table = YElementTable(
         y=y, c=c_map, alpha=alpha, qmat=qmat, eta_data=eta_data, characters=y_chi

@@ -14,11 +14,15 @@ Two representations live here:
   sum, with no cleaning, GCD or content work, and ``==`` compares the
   numerator dicts.  Next to it sits the unit shortcut: ``is_one`` compares
   the ``num`` and ``den`` dicts, and ``*`` returns the other operand itself
-  when one side is 1.  True quotients (``len(den) > 1``) take the general
-  path, except for unary minus, which negates the numerator of the reduced
-  value.  Its GCD is skipped when len(num) * len(den) exceeds 4096, so equal
-  quotients need not be identical, and ``==`` decides them by
-  cross-multiplication.
+  when one side is 1.  A Laurent polynomial divided by a Laurent binomial is
+  tried first by synthetic division along the binomial's exponent line
+  (``_divide_by_binomial``), which needs no GCD; an exact quotient comes
+  back as a Laurent polynomial of any size.  Every other division, and an
+  inexact one, takes the general path, as do true quotients
+  (``len(den) > 1``), except for unary minus, which negates the numerator
+  of the reduced value.  The general path skips its GCD when
+  len(num) * len(den) exceeds 4096, so equal quotients need not be
+  identical, and ``==`` decides them by cross-multiplication.
 
 * ``SignedMonomial`` -- an element of the subgroup of K^x generated by the
   parameters together with nonzero rationals, i.e. ``c * q1^e1 * ... * qm^em``.
@@ -39,7 +43,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
+from operator import add, sub
 
 from .errors import DivisionByZero, NotAMonomial
 
@@ -117,6 +121,37 @@ def _dict_mul(a, b):
             else:
                 out.pop(e, None)
     return out
+
+def _divide_by_binomial(a, b):
+    """a / b for a two-term b by synthetic division, or None when inexact.
+
+    With b = c1 X^e1 (1 - r X^d), r = -c2/c1 and d = e2 - e1, the quotient on
+    each line f + t d of a / (c1 X^e1) obeys q_t = a_t + r q_(t-1), and the
+    division is exact when the last q_t on every line is 0.  Coefficients stay
+    ints when c1 is +-1 and a and c2 are integral.
+    """
+    (e1, c1), (e2, c2) = b.items()
+    unit = c1 in (1, -1)
+    r = -c2 * c1 if unit else Fraction(-c2) / c1
+    d = tuple(map(sub, e2, e1))
+    i = next(i for i, x in enumerate(d) if x)
+    lines = {}
+    for e, c in a.items():
+        f = tuple(map(sub, e, e1))
+        t = f[i] // d[i]
+        base = tuple(x - t * y for x, y in zip(f, d))
+        lines.setdefault(base, {})[t] = c * c1 if unit else Fraction(c) / c1
+    out = {}
+    for base, line in lines.items():
+        q = 0
+        for t in range(min(line), max(line) + 1):
+            q = line.get(t, 0) + r * q
+            if q:
+                out[tuple(x + t * y for x, y in zip(base, d))] = q
+        if q:
+            return None
+    return out
+
 
 def _dict_pow(a, k):
     # callers guarantee k >= 1
@@ -336,9 +371,10 @@ class LaurentFraction:
         """Build a value from a reduced num/den without ``_dict_clean`` or ``_reduce``.
 
         Either ``den`` is the constant 1 and ``num`` is canonical or a
-        ``_dict_add``/``_dict_mul``/``_dict_neg`` result of canonical dicts
-        (zero-free, and integral only where Fraction arithmetic landed on an
-        integer, which is turned back into an int here), or num/den is the
+        ``_dict_add``/``_dict_mul``/``_dict_neg``/``_divide_by_binomial``
+        result of canonical dicts (zero-free, and integral only where Fraction
+        arithmetic landed on an integer, which is turned back into an int
+        here), or num/den is the
         negation of a reduced quotient.
         """
         for e, c in num.items():
@@ -502,6 +538,10 @@ class LaurentFraction:
             return NotImplemented
         if other.is_zero:
             raise DivisionByZero("division by zero scalar")
+        if len(other.num) == 2 and self.is_laurent and other.is_laurent:
+            quotient = _divide_by_binomial(self.num, other.num)
+            if quotient is not None:
+                return LaurentFraction._trusted(self.space, quotient, self.den)
         return LaurentFraction(
             self.space, _dict_mul(self.num, other.den), _dict_mul(self.den, other.num)
         )

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from cglkit import primes, structure
 from cglkit.cli import main
 from cglkit.presentation import CGLPresentation
 from cglkit.presets import parse_preset_spec
@@ -213,6 +214,31 @@ def test_y_elements_output(tmp_path, capsys):
     payload = json.loads(target.read_text())
     assert payload["finals"] == [2, 3, 4]
     assert payload["y"][3] == "x1*x4 - q*x2*x3"
+
+
+@pytest.mark.parametrize(
+    "command, cls",
+    [("y-elements", primes.YElementTable), ("core", structure.CoreDecomposition)],
+)
+def test_json_payload_is_built_only_with_json(command, cls, tmp_path, monkeypatch, capsys):
+    """The payload costs a full formatting pass, so a run without --json
+    builds none, and a run with it builds exactly one."""
+    calls = []
+    to_json_dict = cls.to_json_dict
+
+    def counting(self, *args):
+        calls.append(1)
+        return to_json_dict(self, *args)
+
+    monkeypatch.setattr(cls, "to_json_dict", counting)
+    assert main([command, "--preset", "oq-matrices:2,2"]) == 0
+    plain = capsys.readouterr().out
+    assert len(calls) == 0
+    target = tmp_path / "payload.json"
+    assert main([command, "--preset", "oq-matrices:2,2", "--json", str(target)]) == 0
+    assert capsys.readouterr().out == plain
+    assert len(calls) == 1
+    assert json.loads(target.read_text())
 
 
 def test_verify_nakayama(capsys):

@@ -84,6 +84,38 @@ def test_every_y_is_a_contiguous_quantum_minor(t, n):
         assert T.y[k] == quantum_minor(P, n, rows, cols)
 
 
+# The y_k of multiparam-matrices:n is the contiguous minor on the same rows R
+# and columns C: each bijection sigma contributes sign(sigma) times, for each
+# inversion a < b with sigma(a) > sigma(b), p_{C[sigma b], C[sigma a]}^-1.
+
+
+def multiparam_minor(P, n, rows, cols):
+    terms = {}
+    for perm in itertools.permutations(range(len(cols))):
+        exps = [0] * P.N
+        for a, r in enumerate(rows):
+            exps[(r - 1) * n + cols[perm[a]] - 1] = 1
+        weight = P.scalar("1")
+        for a, b in itertools.combinations(range(len(perm)), 2):
+            if perm[a] > perm[b]:
+                weight = -weight / P.scalar(f"p{cols[perm[b]]}{cols[perm[a]]}")
+        terms[tuple(exps)] = weight
+    return PBWPolynomial(P.space, P.N, terms)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_every_mp_y_is_a_contiguous_minor(n):
+    P = parse_preset_spec(f"multiparam-matrices:{n}")
+    T = compute_y_elements(P)
+    for k in range(P.N):
+        i, j = divmod(k, n)
+        i, j = i + 1, j + 1
+        r = min(i, j) - 1
+        rows = list(range(i - r, i + 1))
+        cols = list(range(j - r, j + 1))
+        assert T.y[k] == multiparam_minor(P, n, rows, cols), k
+
+
 def test_m22_table_exact():
     P = parse_preset_spec("oq-matrices:2,2")
     T = compute_y_elements(P)
@@ -181,6 +213,42 @@ def test_alpha_commutation_scalars(spec):
 
 
 # -- bicharacter lattices ----------------------------------------------------
+
+
+def _chain(T, k):
+    out = [k]
+    while T.eta_data.pred[out[-1]] is not None:
+        out.append(T.eta_data.pred[out[-1]])
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec, tau",
+    [
+        ("oq-matrices:3,4", None),
+        ("multiparam-matrices:4", None),
+        ("uq-sl3", None),
+        ("oq-matrices:3,3", [3, 4, 2, 5, 1, 6, 0, 7, 8]),
+    ],
+    ids=["oq-matrices:3,4", "multiparam-matrices:4", "uq-sl3", "oq33-permuted"],
+)
+def test_alpha_and_qmat_are_the_chain_products(spec, tau):
+    """alpha[j][k] is the product of lambda_{j c} over the chain of k, and
+    qmat[k][j] that of lambda_{u v} over the chains of k and j, entry by
+    entry as the recursion's definition states them."""
+    P = parse_preset_spec(spec)
+    if tau is not None:
+        P = permute_presentation(P, tau)
+    T = compute_y_elements(P)
+    one = SignedMonomial.one(P.space)
+    chains = [_chain(T, k) for k in range(P.N)]
+    assert any(len(chain) > 1 for chain in chains)
+    for j in range(P.N):
+        for k in range(P.N):
+            assert T.alpha[j][k] == prod((P.lam[j][c] for c in chains[k]), start=one)
+            assert T.qmat[k][j] == prod(
+                (P.lam[u][v] for u in chains[k] for v in chains[j]), start=one
+            )
 
 
 def brute_radical(M, box=2):

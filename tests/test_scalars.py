@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from cglkit import scalars
 from cglkit.errors import DivisionByZero, NotAMonomial
 from cglkit.parsing import format_scalar, parse_scalar
 from cglkit.scalars import LaurentFraction, ParameterSpace, SignedMonomial
@@ -300,3 +301,85 @@ def test_is_one():
     big_one = _unreduced_one(SP)
     assert not big_one.is_laurent and big_one.is_one and big_one == 1
     assert not (big_one + 1).is_one and not (big_one * q).is_one
+
+
+# -- exact division by a Laurent binomial --
+
+
+def rand_binomial(rng, space):
+    coeffs = [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]
+    while True:
+        e1, e2 = (tuple(rng.randint(-2, 2) for _ in range(space.m)) for _ in range(2))
+        if e1 != e2:
+            return LaurentFraction(space, {e1: rng.choice(coeffs), e2: rng.choice(coeffs)})
+
+
+def test_exact_division_by_a_binomial_inverts_the_product(monkeypatch):
+    """(a b) / b == a by synthetic division, which never reaches the GCD."""
+
+    def no_gcd(*args):
+        raise AssertionError("an exact binomial division ran the GCD")
+
+    rng = random.Random(20261019)
+    cases = [
+        (rand_laurent(rng, space), rand_binomial(rng, space))
+        for space in (SP, SP2)
+        for _ in range(200)
+    ]
+    monkeypatch.setattr(scalars, "_poly_gcd_int", no_gcd)
+    for a, b in cases:
+        if not a.is_laurent:
+            continue
+        quotient = (a * b) / b
+        _assert_canonical(quotient)
+        assert quotient.is_laurent
+        assert (quotient.num, quotient.den) == (a.num, a.den)
+        assert (a * b * b) / b / b == a
+
+
+def test_inexact_division_by_a_binomial_matches_the_gcd_path():
+    rng = random.Random(20261020)
+    inexact = 0
+    for space in (SP, SP2):
+        for _ in range(200):
+            a, b = rand_laurent(rng, space), rand_binomial(rng, space)
+            if not a.is_laurent:
+                continue
+            got = a / b
+            reduced = LaurentFraction(space, a.num, b.num)
+            _assert_canonical(got)
+            assert (got.num, got.den) == (reduced.num, reduced.den)
+            assert str(got) == str(reduced)
+            inexact += not got.is_laurent
+    assert inexact > 200
+
+
+def test_binomial_quotients_are_canonical():
+    q = LaurentFraction.parameter(SP, "q")
+    half = Fraction(1, 2)
+    # a non-unit leading coefficient runs the recurrence in Fractions, and an
+    # integral result comes back with int coefficients
+    quotient = (half * q**2 - half) / (half * q - half)
+    assert str(quotient) == "q + 1"
+    assert all(type(c) is int for c in quotient.num.values())
+    assert type(((q**2 - 1) / (2 * q - 2)).num[(1,)]) is Fraction
+    assert ((q**3 + 1) / (q**-1 + 1)).num == {(3,): 1, (2,): -1, (1,): 1}
+    lam = LaurentFraction.parameter(SP2, "lam")
+    p = LaurentFraction.parameter(SP2, "p12")
+    assert str((lam**2 * p**-1 - p) / (lam * p**-1 - 1)) == "lam + p12"
+    assert (LaurentFraction.zero(SP) / (q - 1)).is_zero
+
+
+def test_exact_binomial_division_past_the_gcd_cap_is_laurent():
+    """A numerator of more than 2,048 terms puts num x den past the 4096 cap
+    of the general path, which would return it unreduced; the exact
+    synthetic division returns the Laurent quotient."""
+    q = LaurentFraction.parameter(SP, "q")
+    a = LaurentFraction(SP, {(i,): i + 1 for i in range(2100)})
+    product = a * (q - 1)
+    assert len(product.num) > 2048
+    quotient = product / (q - 1)
+    assert quotient.is_laurent
+    assert (quotient.num, quotient.den) == (a.num, a.den)
+    # an inexact division of the same size still takes the general path
+    assert not (product / (q - 2)).is_laurent
