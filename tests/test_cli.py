@@ -4,6 +4,7 @@ import io
 import json
 import os
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,8 @@ from cglkit import primes, structure
 from cglkit.cli import main
 from cglkit.presentation import CGLPresentation
 from cglkit.presets import parse_preset_spec
+
+FROZEN_INPUTS = Path(__file__).resolve().parent / "data" / "frozen" / "inputs"
 
 ALL_PRESETS = [
     "quantum-affine:2",
@@ -40,9 +43,13 @@ def test_preset_emit_to_file(tmp_path, capsys):
 
 
 def test_preset_emit_to_stdout(capsys):
-    assert main(["preset", "emit", "--preset", "uq-sl3"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert "lambda" in data
+    # stdout is byte for byte the file that the frozen cases read
+    for spec in ["uq-sl3", "multiparam-matrices:2", "quantum-plane-minus-one"]:
+        assert main(["preset", "emit", "--preset", spec]) == 0
+        out = capsys.readouterr().out
+        assert "lambda" in json.loads(out)
+        slug = spec.replace(":", "_").replace(",", "-")
+        assert out == (FROZEN_INPUTS / f"preset_{slug}.json").read_text(encoding="utf-8")
 
 
 def test_preset_emit_requires_a_spec(capsys):
