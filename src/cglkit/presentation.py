@@ -97,12 +97,12 @@ class CGLPresentation:
         self.Q = {}
         for (k, j), poly in Q.items():
             if not (0 <= j < k < self.N):
-                raise MalformedPresentation(f"Q index {(k, j)} out of range")
+                raise MalformedPresentation(f"Q index {(k + 1, j + 1)} out of range")
             if poly is None or poly.is_zero:
                 continue
             if not pbw.supported_below(poly, k):
                 raise MalformedPresentation(
-                    f"Q[{k},{j}] must lie in the subalgebra on x1..x{k}"
+                    f"Q[{k + 1},{j + 1}] must lie in the subalgebra on x1..x{k}"
                 )
             self.Q[(k, j)] = poly
         self._qhat = {}
@@ -462,21 +462,31 @@ def check_torus_covering(P: CGLPresentation, report: ValidationReport) -> Valida
     The torus covers each sigma_k, chi_{x_j}(h_k) = lambda_{kj} for j < k, and
     the weight lambda_k = chi_{x_k}(h_k) is not a root of unity.
     """
-    bad_eig = []
-    bad_root = []
-    for k in range(P.N):
-        hk = P.torus.h[k]
-        for j in range(k):
-            if _power_product(P.space, hk, P.torus.chi[j]) != P.lam[k][j]:
-                bad_eig.append((k + 1, j + 1))
-        if _power_product(P.space, hk, P.torus.chi[k]).is_root_of_unity():
-            bad_root.append(k + 1)
+    bad_eig, bad_root = _covering_failures(P, P.torus.h, lambda k: range(k))
     report.check("axiom (iii): chi_{x_j}(h_k) = lambda_{kj}", bad_eig, "failing (k, j)")
     return report.check(
         "axiom (iii): lambda_k = chi_{x_k}(h_k) not a root of unity",
         bad_root,
         "failing k",
     )
+
+
+def _covering_failures(P: CGLPresentation, family, others):
+    """The failing pairs and the failing weights of a torus family, 1-based.
+
+    (i, o) with o in ``others(i)`` fails when chi_{x_o}(family[i]) != lambda_{io},
+    and i fails when chi_{x_i}(family[i]) is a root of unity.
+    """
+    bad_eig = []
+    bad_root = []
+    for i in range(P.N):
+        t = family[i]
+        for o in others(i):
+            if _power_product(P.space, t, P.torus.chi[o]) != P.lam[i][o]:
+                bad_eig.append((i + 1, o + 1))
+        if _power_product(P.space, t, P.torus.chi[i]).is_root_of_unity():
+            bad_root.append(i + 1)
+    return bad_eig, bad_root
 
 
 def _failing_triples(P: CGLPresentation, overlaps_only):
@@ -509,15 +519,7 @@ def validate_symmetric(P: CGLPresentation) -> ValidationReport:
     report = ValidationReport(subject=f"symmetric conditions for {P.name or 'presentation'}")
     bad_support = [(k + 1, j + 1) for k, j in _q_not_between(P)]
     report.check("Q supported strictly between j and k", bad_support, "failing pairs")
-    bad_eig = []
-    bad_root = []
-    for j in range(P.N):
-        hs = P.torus.h_star[j]
-        for k in range(j + 1, P.N):
-            if _power_product(P.space, hs, P.torus.chi[k]) != P.lam[j][k]:
-                bad_eig.append((j + 1, k + 1))
-        if _power_product(P.space, hs, P.torus.chi[j]).is_root_of_unity():
-            bad_root.append(j + 1)
+    bad_eig, bad_root = _covering_failures(P, P.torus.h_star, lambda j: range(j + 1, P.N))
     report.check("h*: chi_{x_k}(h*_j) = lambda_{jk}", bad_eig, "failing (j, k)")
     report.check("h*: weight chi_{x_j}(h*_j) not a root of unity", bad_root, "failing j")
     return report

@@ -8,9 +8,8 @@ Catalog (CLI spec strings in parentheses):
 * multiparameter quantized n x n matrices over Q(lam, p_rs)
   (``multiparam-matrices:n``),
 * the positive part of the quantized enveloping algebra of sl_3 presented on
-  root vectors E1, E12, E2 (``uq-sl3``); its lambda/Q data is derived at
-  construction time by reduction against the Serre relations instead of
-  being hard-coded,
+  root vectors E1, E12, E2 (``uq-sl3``); its lambda/Q data, the classical
+  reduction of the Serre relations, is written as constants,
 * a (-1)-twisted quantum plane (``quantum-plane-minus-one``), the standard
   unsaturated example; it carries no h*-data.
 """
@@ -20,10 +19,9 @@ from __future__ import annotations
 import re
 
 from .errors import UnknownPreset
-from .linalg import solve_in_span
 from .pbw import PBWPolynomial
 from .presentation import CGLPresentation, TorusData
-from .scalars import LaurentFraction, ParameterSpace, SignedMonomial
+from .scalars import ParameterSpace, SignedMonomial
 
 
 def quantum_affine(N, lam="q"):
@@ -164,113 +162,22 @@ def multiparam_matrices(n):
     )
 
 
-# -- U_q^+(sl_3): structure constants from the Serre relations --
+def uq_plus_sl3():
+    """Positive part of U_q(sl_3) on the root vectors E1, E12 = [E1,E2]_q, E2.
 
-
-def _free_mul(a, b):
-    out = {}
-    for wa, ca in a.items():
-        for wb, cb in b.items():
-            w = wa + wb
-            c = out.get(w)
-            out[w] = ca * cb if c is None else c + ca * cb
-    return {w: c for w, c in out.items() if not c.is_zero}
-
-
-def _free_sub(a, b):
-    out = dict(a)
-    for w, c in b.items():
-        have = out.get(w)
-        value = -c if have is None else have - c
-        if value.is_zero:
-            out.pop(w, None)
-        else:
-            out[w] = value
-    return out
-
-
-def _free_scale(a, s):
-    return {w: c * s for w, c in a.items() if not (c * s).is_zero}
-
-
-def _in_span_coeff(space, target, scaled_term, span):
-    """Solve target = c*scaled_term + sum(span) for c; None if unsolvable.
-
-    All arguments are free-algebra elements (word dicts).  The span elements
-    enter with free coefficients; c must be unique.
-    """
-    solved = solve_in_span([scaled_term, *span], target, space)
-    if solved is None:
-        return None
-    particular, null_basis = solved
-    if any(not vec[0].is_zero for vec in null_basis):
-        return None
-    return particular[0]
-
-
-def derive_uq_sl3_data():
-    """Reduce the Serre presentation of U_q^+(sl_3) to lambda/Q data.
-
-    In the free algebra on E1, E2 modulo the two Serre relations S1, S2, set
-    E12 := E1 E2 - q^-1 E2 E1.  The degree-3 part of the relation ideal is
-    exactly span{S1, S2} and the degree-2 part is zero, so the commutation
-    scalars of (x1, x2, x3) = (E1, E12, E2) are pinned by small exact linear
-    solves.  Returns (lam21, lam31, lam32, q31_coeff) with exponents over
-    ParameterSpace(("q",)); the Q-term of x3 x1 is q31_coeff * x2.
+    Modulo the Serre relations, E12 E1 = q^-1 E1 E12, E2 E12 = q^-1 E12 E2
+    and E2 E1 = q E1 E2 - q E12, so lambda_21 = q^-1, lambda_31 = q,
+    lambda_32 = q^-1 and Q_31 = -q x2.  The test oracle
+    ``test_sl3_relations_against_free_algebra`` (tests/test_presets.py)
+    checks these constants against the Serre relations in the free algebra
+    on E1, E2.
     """
     space = ParameterSpace(("q",))
-    q = LaurentFraction.parameter(space, "q")
-    one = LaurentFraction.one(space)
-    E1 = {(0,): one}
-    E2 = {(1,): one}
-    E12 = _free_sub(_free_mul(E1, E2), _free_scale(_free_mul(E2, E1), q.inverse()))
-    qq = q + q.inverse()
-    S1 = _free_sub(
-        _free_sub(_free_mul(_free_mul(E1, E1), E2), _free_scale(_free_mul(_free_mul(E1, E2), E1), qq)),
-        _free_scale(_free_mul(_free_mul(E2, E1), E1), -one),
-    )
-    S2 = _free_sub(
-        _free_sub(_free_mul(_free_mul(E2, E2), E1), _free_scale(_free_mul(_free_mul(E2, E1), E2), qq)),
-        _free_scale(_free_mul(_free_mul(E1, E2), E2), -one),
-    )
-    lam21 = _in_span_coeff(space, _free_mul(E12, E1), _free_mul(E1, E12), [S1, S2])
-    lam32 = _in_span_coeff(space, _free_mul(E2, E12), _free_mul(E12, E2), [S1, S2])
-    # degree 2: E2 E1 = a E1 E2 + b E12 must hold exactly in the free algebra
-    pair = _in_span_coeff(space, _free_mul(E2, E1), _free_mul(E1, E2), [E12])
-    if lam21 is None or lam32 is None or pair is None:
-        raise UnknownPreset("Serre reduction for uq-sl3 failed to pin the constants")
-    lam31 = pair
-    remainder = _free_sub(
-        _free_mul(E2, E1), _free_scale(_free_mul(E1, E2), lam31)
-    )
-    # remainder must be an exact multiple of E12
-    coeffs = []
-    for w, c in remainder.items():
-        base = E12.get(w)
-        if base is None:
-            raise UnknownPreset("Serre reduction left a non-E12 degree-2 term")
-        coeffs.append(c / base)
-    if not coeffs or any(c != coeffs[0] for c in coeffs[1:]):
-        raise UnknownPreset("Serre reduction gave an inconsistent E12 multiple")
-    q31_coeff = coeffs[0]
-    return lam21.as_monomial(), lam31.as_monomial(), lam32.as_monomial(), q31_coeff
-
-
-_SL3_CACHE = None
-
-
-def uq_plus_sl3():
-    """Positive part of U_q(sl_3) on the root vectors E1, E12 = [E1,E2]_q, E2."""
-    global _SL3_CACHE
-    if _SL3_CACHE is None:
-        _SL3_CACHE = derive_uq_sl3_data()
-    lam21, lam31, lam32, q31_coeff = _SL3_CACHE
-    space = lam21.space
     q = SignedMonomial.parameter(space, "q")
     one = SignedMonomial.one(space)
     qinv = q.inverse()
-    lower = {(1, 0): lam21, (2, 0): lam31, (2, 1): lam32}
-    Q = {(2, 0): PBWPolynomial(space, 3, {(0, 1, 0): q31_coeff})}
+    lower = {(1, 0): qinv, (2, 0): q, (2, 1): qinv}
+    Q = {(2, 0): PBWPolynomial(space, 3, {(0, 1, 0): -q.to_fraction()})}
     torus = TorusData(
         rank=2,
         chi=[(2, -1), (1, 1), (-1, 2)],

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from math import lcm, prod
 from operator import mul
 
-from . import pbw
 from .errors import (
     AmbiguousPredecessor,
     InternalInconsistency,
@@ -39,7 +38,6 @@ from .lattice import (
     row_space_basis,
     smith_invariant_factors,
 )
-from .linalg import solve_in_span
 from .pbw import PBWPolynomial
 from .reporting import ValidationReport
 from .scalars import SignedMonomial, _power_product
@@ -101,10 +99,6 @@ class YElementTable:
 
 def _chi_add(a, b):
     return tuple(x + y for x, y in zip(a, b))
-
-
-def _chi_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
 
 
 def _monomials(P, degs, d, top, chi):
@@ -450,89 +444,3 @@ def torus_center_basis(P, T: YElementTable) -> CenterLattice:
     rad = bicharacter_radical(T.qmat)
     flags = [all(v >= 0 for v in row) for row in rad.basis]
     return CenterLattice(rad, flags)
-
-
-# -- desk-scale probes backing the primeness claims --
-
-
-def _divide_in_span(P, left, target, basis):
-    """Solve left * b = target with b in the span of the basis monomials."""
-    if not basis:
-        return None
-    columns = [P.mul(left, PBWPolynomial(P.space, P.N, {m: 1})).terms for m in basis]
-    solved = solve_in_span(columns, target.terms, P.space)
-    if solved is None:
-        return None
-    terms = {m: c for m, c in zip(basis, solved[0]) if not c.is_zero}
-    return PBWPolynomial(P.space, P.N, terms)
-
-
-def irreducibility_probe(P, T: YElementTable, k):
-    """Search for y_k = a * b with homogeneous non-unit factors of lower degree.
-
-    For each split of the pi-degree and each character of the left factor,
-    the bilinear equation is linearized whenever one side's homogeneous
-    component is 1-dimensional.  Returns (irreducible, complete): complete is
-    False when some component pair was too fat to linearize.
-    """
-    y = T.y[k]
-    chi_y = T.characters[k]
-    d = pbw.min_degree(y, P)
-    complete = True
-    for d1 in range(1, d):
-        by_char = {}
-        for mono in monomials_of_degree(P, d1):
-            chi = tuple(
-                sum(e * c[a] for e, c in zip(mono, P.torus.chi))
-                for a in range(P.torus.rank)
-            )
-            by_char.setdefault(chi, []).append(mono)
-        for chi_a, B1 in by_char.items():
-            B2 = monomials_with_character(P, _chi_sub(chi_y, chi_a))
-            if not B2:
-                continue
-            if len(B1) == 1:
-                left = PBWPolynomial(P.space, P.N, {B1[0]: 1})
-                if _divide_in_span(P, left, y, B2) is not None:
-                    return False, complete
-            elif len(B2) == 1:
-                right = PBWPolynomial(P.space, P.N, {B2[0]: 1})
-                columns = [
-                    P.mul(PBWPolynomial(P.space, P.N, {m: 1}), right).terms for m in B1
-                ]
-                if solve_in_span(columns, y.terms, P.space) is not None:
-                    return False, complete
-            else:
-                complete = False
-    return True, complete
-
-
-def greedy_prime_factorization(P, T: YElementTable, w):
-    """Recover the multiset of final-prime factors of w by repeated division.
-
-    w should be a scalar times a product of the final y's; returns
-    (scalar, {k: multiplicity}) or None when division gets stuck before
-    reaching a constant.
-    """
-    finals = T.finals()
-    counts = {k: 0 for k in finals}
-    rem = w
-    progress = True
-    while progress and rem.as_constant() is None:
-        progress = False
-        chi_rem = pbw.homogeneous_character(rem, P)
-        if chi_rem is None:
-            return None
-        for k in finals:
-            chi_b = _chi_sub(chi_rem, T.characters[k])
-            basis = monomials_with_character(P, chi_b)
-            quotient = _divide_in_span(P, T.y[k], rem, basis)
-            if quotient is not None:
-                counts[k] += 1
-                rem = quotient
-                progress = True
-                break
-    scalar = rem.as_constant()
-    if scalar is None:
-        return None
-    return scalar, counts

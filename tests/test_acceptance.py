@@ -100,8 +100,10 @@ def test_criterion_01_quantum_minor_identification():
 
 
 def test_criterion_02_nakayama_eigenvalues():
+    # known-answer checks: nu_k = prod_j lambda_kj is read off the preset's
+    # lambda table, so these closed forms check preset data, not the engine
     with criterion(2):
-        for t, n in [(2, 2), (2, 3), (3, 3)]:
+        for t, n in [(2, 2), (2, 3), (3, 3), (4, 5), (5, 5), (6, 6)]:
             P = parse_preset_spec(f"oq-matrices:{t},{n}")
             nu = nakayama_automorphism(P)
             for k in range(P.N):
@@ -111,22 +113,27 @@ def test_criterion_02_nakayama_eigenvalues():
                     P.space, "q", power=t + n - 2 * i - 2 * j + 2
                 )
                 assert nu.eigenvalues[k] == expected
-        P = parse_preset_spec("multiparam-matrices:2")
-        nu = nakayama_automorphism(P)
-        one = SignedMonomial.one(P.space)
-        lam = SignedMonomial.parameter(P.space, "lam")
-        p12 = SignedMonomial.parameter(P.space, "p12")
-        p = [[one, p12], [p12.inverse(), one]]
-        n = 2
-        for i in range(1, 3):
-            for j in range(1, 3):
-                expected = one
-                for l in range(1, 3):
-                    expected = expected * p[i - 1][l - 1] ** n
-                for m in range(1, 3):
-                    expected = expected * p[m - 1][j - 1] ** n
-                expected = expected * lam ** (n * (i - j - 1) + i + j - 1)
-                assert nu.eigenvalues[(i - 1) * 2 + (j - 1)] == expected
+        for n in range(2, 7):
+            P = parse_preset_spec(f"multiparam-matrices:{n}")
+            nu = nakayama_automorphism(P)
+            one = SignedMonomial.one(P.space)
+            lam = SignedMonomial.parameter(P.space, "lam")
+            # p[r][s] = p_rs from the parameter names p<r><s>, r < s; p_sr = p_rs^-1
+            p = [[one] * n for _ in range(n)]
+            for name in P.space.names:
+                if name.startswith("p"):
+                    r, s = int(name[1]) - 1, int(name[2]) - 1
+                    p[r][s] = SignedMonomial.parameter(P.space, name)
+                    p[s][r] = p[r][s].inverse()
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    expected = one
+                    for l in range(1, n + 1):
+                        expected = expected * p[i - 1][l - 1] ** n
+                    for m in range(1, n + 1):
+                        expected = expected * p[m - 1][j - 1] ** n
+                    expected = expected * lam ** (n * (i - j - 1) + i + j - 1)
+                    assert nu.eigenvalues[(i - 1) * n + (j - 1)] == expected
 
 
 # -- criterion 3: normal-element realization ---------------------------------

@@ -93,6 +93,17 @@ def test_validate_malformed_file_is_a_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_q_outside_its_subalgebra_names_1_based_indices(tmp_path, capsys):
+    data = json.loads(parse_preset_spec("quantum-affine:3").to_json())
+    data["Q"] = {"2,1": "x2"}
+    f = tmp_path / "q21.json"
+    f.write_text(json.dumps(data))
+    assert main(["validate", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: Q[2,1] must lie in the subalgebra on x1..x1\n"
+
+
 def test_division_by_zero_in_file_text_is_a_parse_error(tmp_path, capsys):
     data = json.loads(parse_preset_spec("quantum-affine:3").to_json())
     f = tmp_path / "zero.json"

@@ -3,9 +3,9 @@ y-element recursion.
 
 Every linear system over the scalars is posed through ``linalg.solve_in_span``.
 ``y-elements``, ``core``, ``saturation`` and ``verify-nakayama`` run the
-y-element recursion; uq-sl3 has quotient scalars, and building it solves its
-Serre reduction.  ``centralizer`` solves for a centralizer eigenspace,
-and ``audit-endo`` inverts the degree-zero part of an endomorphism.
+y-element recursion; uq-sl3 has quotient scalars.  ``centralizer`` solves for
+a centralizer eigenspace, and ``audit-endo`` inverts the degree-zero part of
+an endomorphism.
 ``validate`` and ``y-elements`` on files written by ``preset emit``, and
 ``validate`` and ``nakayama`` on broken files, load each presentation through
 ``CGLPresentation.from_json_dict``; ``validate`` on presets covers the
@@ -55,8 +55,8 @@ def _cases():
     for preset in ["oq-matrices:3,4", "oq-matrices:4,4", "multiparam-matrices:4"]:
         for command in ["verify-nakayama", "y-elements"]:
             cases.append((_slug(command, preset), [command, "--preset", preset]))
-    # the N = 25 y-element table of multiparam-matrices, which unlike
-    # oq-matrices has no closed-form quantum-minor oracle in the tests
+    # the N = 25 y-element table of multiparam-matrices; the minor oracle of
+    # tests/test_primes.py checks the same y's, and this case pins the output
     preset = "multiparam-matrices:5"
     cases.append((_slug("y-elements", preset), ["y-elements", "--preset", preset]))
     for preset, gen, s in [

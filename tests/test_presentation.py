@@ -105,6 +105,8 @@ def test_malformed_inputs():
     bad["Q"] = {"5,1": "x1"}
     with pytest.raises(MalformedPresentation):
         CGLPresentation.from_json_dict(bad)
+    with pytest.raises(MalformedPresentation, match=r"^Q index \(3, 1\) out of range$"):
+        CGLPresentation.build(P.space, 2, {(1, 0): P.lam[1][0]}, {(2, 0): P.x(0)}, P.torus)
     bad = json.loads(P.to_json())
     bad["torus"]["chi"] = bad["torus"]["chi"][:1]
     with pytest.raises(MalformedPresentation):

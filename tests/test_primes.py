@@ -22,8 +22,6 @@ from cglkit.primes import (
     bicharacter_radical,
     compute_P_x,
     compute_y_elements,
-    greedy_prime_factorization,
-    irreducibility_probe,
     is_saturated,
     monomials_of_degree,
     monomials_with_character,
@@ -71,7 +69,14 @@ def quantum_minor(P, n, rows, cols):
     return PBWPolynomial(P.space, P.N, terms)
 
 
-@pytest.mark.parametrize("t,n", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 4), (4, 5), (5, 5)])
+# the ceiling sizes run only with `pytest -m ceiling` (several seconds each)
+@pytest.mark.parametrize(
+    "t,n",
+    [
+        (2, 2), (2, 3), (3, 2), (3, 3), (4, 4), (4, 5), (5, 5),
+        pytest.param(6, 6, marks=pytest.mark.ceiling),
+    ],
+)
 def test_every_y_is_a_contiguous_quantum_minor(t, n):
     P = parse_preset_spec(f"oq-matrices:{t},{n}")
     T = compute_y_elements(P)
@@ -103,7 +108,7 @@ def multiparam_minor(P, n, rows, cols):
     return PBWPolynomial(P.space, P.N, terms)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", [3, 4, 5, pytest.param(6, marks=pytest.mark.ceiling)])
 def test_every_mp_y_is_a_contiguous_minor(n):
     P = parse_preset_spec(f"multiparam-matrices:{n}")
     T = compute_y_elements(P)
@@ -349,6 +354,97 @@ def test_torus_center_of_quantum_affine_plane_is_trivial():
 
 
 # -- probes ------------------------------------------------------------------
+#
+# Desk-scale probes backing the primeness claims: a search for a
+# factorization of a final y_k, and the factorization of a product of final
+# y's by repeated division.  No command needs them.
+
+
+def _chi_sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def _divide_in_span(P, left, target, basis):
+    """Solve left * b = target with b in the span of the basis monomials."""
+    if not basis:
+        return None
+    columns = [P.mul(left, PBWPolynomial(P.space, P.N, {m: 1})).terms for m in basis]
+    solved = solve_in_span(columns, target.terms, P.space)
+    if solved is None:
+        return None
+    terms = {m: c for m, c in zip(basis, solved[0]) if not c.is_zero}
+    return PBWPolynomial(P.space, P.N, terms)
+
+
+def irreducibility_probe(P, T, k):
+    """Search for y_k = a * b with homogeneous non-unit factors of lower degree.
+
+    For each split of the pi-degree and each character of the left factor,
+    the bilinear equation is linearized whenever one side's homogeneous
+    component is 1-dimensional.  Returns (irreducible, complete): complete is
+    False when some component pair was too fat to linearize.
+    """
+    y = T.y[k]
+    chi_y = T.characters[k]
+    d = pbw.min_degree(y, P)
+    complete = True
+    for d1 in range(1, d):
+        by_char = {}
+        for mono in monomials_of_degree(P, d1):
+            chi = tuple(
+                sum(e * c[a] for e, c in zip(mono, P.torus.chi))
+                for a in range(P.torus.rank)
+            )
+            by_char.setdefault(chi, []).append(mono)
+        for chi_a, B1 in by_char.items():
+            B2 = monomials_with_character(P, _chi_sub(chi_y, chi_a))
+            if not B2:
+                continue
+            if len(B1) == 1:
+                left = PBWPolynomial(P.space, P.N, {B1[0]: 1})
+                if _divide_in_span(P, left, y, B2) is not None:
+                    return False, complete
+            elif len(B2) == 1:
+                right = PBWPolynomial(P.space, P.N, {B2[0]: 1})
+                columns = [
+                    P.mul(PBWPolynomial(P.space, P.N, {m: 1}), right).terms for m in B1
+                ]
+                if solve_in_span(columns, y.terms, P.space) is not None:
+                    return False, complete
+            else:
+                complete = False
+    return True, complete
+
+
+def greedy_prime_factorization(P, T, w):
+    """Recover the multiset of final-prime factors of w by repeated division.
+
+    w should be a scalar times a product of the final y's; returns
+    (scalar, {k: multiplicity}) or None when division gets stuck before
+    reaching a constant.
+    """
+    finals = T.finals()
+    counts = {k: 0 for k in finals}
+    rem = w
+    progress = True
+    while progress and rem.as_constant() is None:
+        progress = False
+        chi_rem = pbw.homogeneous_character(rem, P)
+        if chi_rem is None:
+            return None
+        for k in finals:
+            chi_b = _chi_sub(chi_rem, T.characters[k])
+            basis = monomials_with_character(P, chi_b)
+            quotient = _divide_in_span(P, T.y[k], rem, basis)
+            if quotient is not None:
+                counts[k] += 1
+                rem = quotient
+                progress = True
+                break
+    scalar = rem.as_constant()
+    if scalar is None:
+        return None
+    return scalar, counts
 
 
 @pytest.mark.parametrize("spec", ["oq-matrices:2,2", "uq-sl3"])
