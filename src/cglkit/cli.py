@@ -50,10 +50,22 @@ def _presentation_args(sub):
     sub.add_argument("input", nargs="?", help="presentation JSON file")
     sub.add_argument("--preset", help="preset spec, e.g. oq-matrices:2,3")
     sub.add_argument("--json", dest="json_out", metavar="PATH", help="write the full report as JSON")
-    sub.add_argument("--fuel", type=int, default=None, help="rewriting fuel factor")
+    sub.add_argument("--fuel", type=_positive_int, default=None, help="rewriting fuel factor")
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+
+
+@functools.cache
 def build_parser():
+    """The `cgl` argument parser, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="cgl", description="Iterated Ore extension toolkit"
     )

@@ -201,12 +201,12 @@ class PBWPolynomial:
 
 def _add_term(out, mono, coeff):
     """Add coeff to the term dict entry out[mono], dropping it when the sum is 0."""
-    if mono in out:
-        coeff = out[mono] + coeff
-    if coeff.is_zero:
-        out.pop(mono, None)
-    else:
+    old = out.get(mono)
+    coeff = coeff if old is None else old + coeff
+    if coeff.num:
         out[mono] = coeff
+    else:
+        out.pop(mono, None)
 
 
 # -- words --

@@ -112,13 +112,12 @@ def multiparam_matrices(n):
     one = SignedMonomial.one(space)
     lam = SignedMonomial.parameter(space, "lam")
 
-    def p(r, s):
-        """p_rs with 1-based subscripts; inverse pair below the diagonal."""
-        if r == s:
-            return one
-        if r < s:
-            return SignedMonomial.parameter(space, f"p{r}{s}")
-        return SignedMonomial.parameter(space, f"p{s}{r}").inverse()
+    # p[r, s] = p_rs with 1-based subscripts; inverse pair below the diagonal
+    p = {(r, r): one for r in range(1, n + 1)}
+    for r in range(1, n + 1):
+        for s in range(r + 1, n + 1):
+            p[r, s] = SignedMonomial.parameter(space, f"p{r}{s}")
+            p[s, r] = p[r, s].inverse()
 
     N = n * n
     lam_frac = lam.to_fraction()
@@ -129,17 +128,17 @@ def multiparam_matrices(n):
         for jdx in range(k):
             ir, jc = divmod(jdx, n)
             if lr == ir:
-                lower[(k, jdx)] = p(jc + 1, mc + 1)
+                lower[(k, jdx)] = p[jc + 1, mc + 1]
             elif mc == jc:
-                lower[(k, jdx)] = lam * p(lr + 1, ir + 1)
+                lower[(k, jdx)] = lam * p[lr + 1, ir + 1]
             elif mc < jc:
-                lower[(k, jdx)] = lam * p(lr + 1, ir + 1) * p(jc + 1, mc + 1)
+                lower[(k, jdx)] = lam * p[lr + 1, ir + 1] * p[jc + 1, mc + 1]
             else:
-                lower[(k, jdx)] = p(lr + 1, ir + 1) * p(jc + 1, mc + 1)
+                lower[(k, jdx)] = p[lr + 1, ir + 1] * p[jc + 1, mc + 1]
                 exps = [0] * N
                 exps[ir * n + mc] += 1
                 exps[lr * n + jc] += 1
-                coeff = (lam_frac - 1) * p(lr + 1, ir + 1).to_fraction()
+                coeff = (lam_frac - 1) * p[lr + 1, ir + 1].to_fraction()
                 Q[(k, jdx)] = PBWPolynomial(space, N, {tuple(exps): coeff})
     rank = 2 * n
     chi = []
@@ -149,11 +148,11 @@ def multiparam_matrices(n):
         lr, mc = divmod(k, n)
         l1, m1 = lr + 1, mc + 1
         chi.append(tuple(1 if (s == lr or s == n + mc) else 0 for s in range(rank)))
-        row = [p(l1, r) if r < l1 else one for r in range(1, n + 1)]
-        row += [p(s, m1) * (lam if s >= m1 else one) for s in range(1, n + 1)]
+        row = [p[l1, r] if r < l1 else one for r in range(1, n + 1)]
+        row += [p[s, m1] * (lam if s >= m1 else one) for s in range(1, n + 1)]
         h.append(tuple(row))
-        row = [p(l1, r) if r > l1 else one for r in range(1, n + 1)]
-        row += [p(s, m1) * (lam.inverse() if m1 >= s else one) for s in range(1, n + 1)]
+        row = [p[l1, r] if r > l1 else one for r in range(1, n + 1)]
+        row += [p[s, m1] * (lam.inverse() if m1 >= s else one) for s in range(1, n + 1)]
         h_star.append(tuple(row))
     torus = TorusData(rank=rank, chi=chi, h=h, h_star=h_star, pi=(1,) * n + (0,) * n)
     aliases = {f"X{l + 1}{m + 1}": l * n + m for l in range(n) for m in range(n)}

@@ -9,13 +9,13 @@ Two representations live here:
   common pure-monomial factors, so ``(q^2 - 1)/(q - 1)`` becomes ``q + 1``.
   After construction ``len(den) == 1`` holds exactly when the value is a
   Laurent polynomial, and then ``den`` is the constant 1.  Such values take
-  a fast path: ``+``, ``-``, ``*`` and unary minus of two Laurent
-  polynomials build their result straight from the sparse-dict product or
-  sum, with no cleaning, GCD or content work, and ``==`` compares the
-  numerator dicts.  Next to it sits the unit shortcut: ``is_one`` compares
-  the ``num`` and ``den`` dicts, and ``*`` returns the other operand itself
-  when one side is 1.  A Laurent polynomial divided by a Laurent binomial is
-  tried first by synthetic division along the binomial's exponent line
+  one fast path: ``+`` and ``*`` coerce only an operand that is not a
+  ``LaurentFraction`` on the same space, ``*`` returns the other operand
+  when one side is 1 (``num == den``) and scales it in one pass when one side
+  is a monomial, and both build their result straight from the sparse dicts,
+  with no cleaning, GCD or content work.  ``==`` compares the numerator
+  dicts.  A Laurent polynomial divided by a Laurent binomial is tried first
+  by synthetic division along the binomial's exponent line
   (``_divide_by_binomial``), which needs no GCD; an exact quotient comes
   back as a Laurent polynomial of any size.  Every other division, and an
   inexact one, takes the general path, as do true quotients
@@ -28,7 +28,9 @@ Two representations live here:
   parameters together with nonzero rationals, i.e. ``c * q1^e1 * ... * qm^em``.
   Commutation scalars and torus-element components are restricted to this
   group so that the additive logarithm into Z/2 x Z^m exists.  Its ``coeff``
-  is always a ``Fraction``.
+  is always a ``Fraction``.  Only the constructor checks its arguments: group
+  operations build their valid results with ``_make``, and skip Fraction
+  arithmetic on a coefficient 1 in products and +-1 in powers and inverses.
 
 Laurent polynomials are sparse dicts mapping exponent tuples (ints, possibly
 negative) to nonzero coefficients in one canonical form: ``int`` when the
@@ -361,29 +363,27 @@ class LaurentFraction:
             den = _dict_clean(den)
         if not den:
             raise DivisionByZero("zero denominator")
-        object.__setattr__(self, "space", space)
         n, d = self._reduce(space, num, den)
-        object.__setattr__(self, "num", n)
-        object.__setattr__(self, "den", d)
+        _set_space(self, space)
+        _set_num(self, n)
+        _set_den(self, d)
 
     @classmethod
     def _trusted(cls, space, num, den):
         """Build a value from a reduced num/den without ``_dict_clean`` or ``_reduce``.
 
-        Either ``den`` is the constant 1 and ``num`` is canonical or a
-        ``_dict_add``/``_dict_mul``/``_dict_neg``/``_divide_by_binomial``
-        result of canonical dicts (zero-free, and integral only where Fraction
-        arithmetic landed on an integer, which is turned back into an int
-        here), or num/den is the
+        Either ``den`` is the constant 1 and ``num`` is zero-free with
+        canonical coefficients, except where Fraction arithmetic landed on an
+        integer, which is turned back into an int here; or num/den is the
         negation of a reduced quotient.
         """
         for e, c in num.items():
             if type(c) is Fraction and c.denominator == 1:
                 num[e] = c.numerator
         self = object.__new__(cls)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        _set_space(self, space)
+        _set_num(self, num)
+        _set_den(self, den)
         return self
 
     def __setattr__(self, *args):
@@ -487,10 +487,11 @@ class LaurentFraction:
     # -- arithmetic --
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.is_laurent and other.is_laurent:
+        if type(other) is not LaurentFraction or other.space is not self.space:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if len(self.den) == 1 == len(other.den):
             return LaurentFraction._trusted(self.space, _dict_add(self.num, other.num), self.den)
         if self.den == other.den:
             return LaurentFraction(self.space, _dict_add(self.num, other.num), dict(self.den))
@@ -517,14 +518,22 @@ class LaurentFraction:
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.is_one:
+        if type(other) is not LaurentFraction or other.space is not self.space:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if self.num == self.den:
             return other
-        if other.is_one:
+        if other.num == other.den:
             return self
-        if self.is_laurent and other.is_laurent:
+        if len(self.den) == 1 == len(other.den):
+            # a monomial operand scales the other one: its exponent shift is
+            # injective and its coefficient nonzero, so no terms merge or cancel
+            mono, poly = (self, other) if len(self.num) == 1 else (other, self)
+            if len(mono.num) == 1:
+                ((e, c),) = mono.num.items()
+                scaled = {tuple(map(add, e, f)): c * d for f, d in poly.num.items()}
+                return LaurentFraction._trusted(self.space, scaled, self.den)
             return LaurentFraction._trusted(self.space, _dict_mul(self.num, other.num), self.den)
         return LaurentFraction(
             self.space, _dict_mul(self.num, other.num), _dict_mul(self.den, other.den)
@@ -608,6 +617,10 @@ class LaurentFraction:
         return f"<LaurentFraction {self}>"
 
 
+# the slots' own setters, which bypass the immutable ``__setattr__``
+_set_space, _set_num, _set_den = (vars(LaurentFraction)[k].__set__ for k in LaurentFraction.__slots__)
+
+
 def _monomial_str(space, coeff, exps):
     parts = []
     for name, e in zip(space.names, exps):
@@ -633,7 +646,7 @@ def _poly_str(space, d):
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignedMonomial:
     """c * q1^e1 * ... * qm^em with c a nonzero rational.
 
@@ -655,6 +668,15 @@ class SignedMonomial:
             raise ValueError("exponent tuple has wrong length")
 
     @classmethod
+    def _make(cls, space, coeff, exps):
+        """A value from a nonzero Fraction and a tuple of the space's length, built unchecked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "exps", exps)
+        return self
+
+    @classmethod
     def one(cls, space):
         return cls(space, Fraction(1), space.zero_exps())
 
@@ -670,24 +692,20 @@ class SignedMonomial:
 
     def __mul__(self, other):
         if isinstance(other, SignedMonomial):
-            if other.space != self.space:
+            if other.space is not self.space and other.space != self.space:
                 raise ValueError("mixed parameter spaces")
-            return SignedMonomial(
-                self.space,
-                self.coeff * other.coeff,
-                tuple(x + y for x, y in zip(self.exps, other.exps)),
-            )
+            a, b = self.coeff, other.coeff
+            coeff = b if a == 1 else a if b == 1 else a * b
+            return self._make(self.space, coeff, tuple(map(add, self.exps, other.exps)))
         return NotImplemented
 
     def inverse(self):
-        return SignedMonomial(self.space, 1 / self.coeff, tuple(-e for e in self.exps))
+        return self**-1
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
             raise TypeError("exponent must be an int")
-        if k < 0:
-            return self.inverse() ** (-k)
-        return SignedMonomial(self.space, self.coeff**k, tuple(e * k for e in self.exps))
+        return self._make(self.space, _coeff_pow(self.coeff, k), tuple(e * k for e in self.exps))
 
     @property
     def is_one(self) -> bool:
@@ -723,13 +741,24 @@ class SignedMonomial:
         return f"<SignedMonomial {self}>"
 
 
+_ONE = Fraction(1)
+
+
+def _coeff_pow(c, k):
+    """c ** k for a Fraction coefficient, with Fraction arithmetic only when c is not +-1."""
+    if c == 1 or c == -1:
+        return c if k & 1 else _ONE
+    return c**k
+
+
 def _power_product(space, bases, exps) -> "SignedMonomial":
-    """prod_i bases[i]^exps[i] for SignedMonomial bases, built as one SignedMonomial."""
-    coeff = Fraction(1)
+    """prod_i bases[i]^exps[i] for SignedMonomial bases, built unchecked as one SignedMonomial."""
+    coeff = _ONE
     total = [0] * space.m
     for base, e in zip(bases, exps):
         if e:
-            coeff *= base.coeff**e
+            c = _coeff_pow(base.coeff, e)
+            coeff = c if coeff == 1 else coeff * c
             for i, x in enumerate(base.exps):
                 total[i] += e * x
-    return SignedMonomial(space, coeff, tuple(total))
+    return SignedMonomial._make(space, coeff, tuple(total))

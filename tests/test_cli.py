@@ -369,6 +369,14 @@ def test_fuel_flag_is_accepted(capsys):
     assert main(["validate", "--preset", "oq-matrices:2,2", "--fuel", "20"]) == 0
 
 
+@pytest.mark.parametrize("fuel", ["-1", "0"])
+def test_fuel_must_be_a_positive_integer(fuel, capsys):
+    assert main(["validate", "--preset", "oq-matrices:2,2", "--fuel", fuel]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument --fuel: expected a positive integer, got '{fuel}'" in captured.err
+
+
 def test_roundtrip_emitted_file_through_validate(tmp_path, capsys):
     target = tmp_path / "p.json"
     assert main(["preset", "emit", "--preset", "oq-matrices:3,2", "--json", str(target)]) == 0

@@ -92,8 +92,7 @@ def _cases():
     argv = ["nakayama", INPUTS / f"{_slug('preset', bad_torus)}.json"]
     cases.append((_slug("nakayama", "file", bad_torus), argv))
     # validate on presets, recorded with the sweep over all N^3 generator
-    # triples, and once at fuel factor 0, where only the 64-step floor of
-    # the fuel budget is left
+    # triples, and once at fuel factor 1, the smallest that --fuel accepts
     for preset in [
         "oq-matrices:3,5",
         "oq-matrices:4,4",
@@ -102,8 +101,8 @@ def _cases():
         "quantum-plane-minus-one",
     ]:
         cases.append((_slug("validate", preset), ["validate", "--preset", preset]))
-    argv = ["validate", "--fuel", "0", "--preset", "oq-matrices:3,3"]
-    cases.append((_slug("validate", "fuel-0", "oq-matrices:3,3"), argv))
+    argv = ["validate", "--fuel", "1", "--preset", "oq-matrices:3,3"]
+    cases.append((_slug("validate", "fuel-1", "oq-matrices:3,3"), argv))
     return cases
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from cglkit import cli
 from cglkit.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -69,3 +70,15 @@ def test_readme_transcript(command, expected, tmp_path, monkeypatch, capsys):
         assert printed.startswith(head)
     else:
         assert printed == expected
+
+
+def test_one_parser_serves_every_call(capsys):
+    """A usage error leaves the shared parser fit for the next command."""
+    assert cli.build_parser() is cli.build_parser()
+    assert main(["y-elements", "--preset", "oq-matrices:2,2", "--fuel", "0"]) == 2
+    capsys.readouterr()
+    assert main(["y-elements", "--preset", "oq-matrices:2,2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == dict(COMMANDS)["cgl y-elements --preset oq-matrices:2,2"]
+    assert captured.err == ""
+    assert cli.build_parser() is cli.build_parser()

@@ -143,6 +143,41 @@ def test_signed_monomial_group_ops():
         SignedMonomial(SP, 0, (0,))
 
 
+def test_signed_monomial_operations_match_the_checking_constructor():
+    """Products, inverses and powers are built unchecked; they must equal the constructor's values."""
+    rng = random.Random(20261019)
+    coeffs = [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]
+    for space in (SP, SP2):
+        def rand_mono():
+            exps = tuple(rng.randint(-3, 3) for _ in range(space.m))
+            return SignedMonomial(space, rng.choice(coeffs), exps)
+
+        for _ in range(100):
+            a, b = rand_mono(), rand_mono()
+            j, k = rng.randint(-3, 3), rng.randint(-3, 3)
+            cases = [
+                (a * b, a.coeff * b.coeff, [x + y for x, y in zip(a.exps, b.exps)]),
+                (a.inverse(), 1 / a.coeff, [-x for x in a.exps]),
+                (a**k, a.coeff**k, [k * x for x in a.exps]),
+                (
+                    scalars._power_product(space, [a, b], [j, k]),
+                    a.coeff**j * b.coeff**k,
+                    [j * x + k * y for x, y in zip(a.exps, b.exps)],
+                ),
+            ]
+            for got, coeff, exps in cases:
+                want = SignedMonomial(space, coeff, exps)
+                assert got == want and hash(got) == hash(want)
+                assert type(got.coeff) is Fraction and type(got.exps) is tuple
+    # an equal space built separately multiplies; a different one raises
+    q = SignedMonomial.parameter(SP, "q")
+    assert q * SignedMonomial.parameter(ParameterSpace(("q",)), "q") == q**2
+    with pytest.raises(ValueError):
+        q * SignedMonomial.parameter(SP2, "lam")
+    with pytest.raises(ValueError):
+        SignedMonomial.parameter(SP2, "lam") * q
+
+
 def test_root_of_unity():
     q = SignedMonomial.parameter(SP, "q")
     assert SignedMonomial.one(SP).is_root_of_unity()
@@ -206,11 +241,29 @@ def rand_laurent(rng, space):
     return LaurentFraction(space, terms)
 
 
+def rand_monomial(rng, space):
+    """Random Laurent monomial; one time in five the unit, one in five zero."""
+    draw = rng.random()
+    if draw < 0.2:
+        return LaurentFraction.one(space)
+    if draw < 0.4:
+        return LaurentFraction.zero(space)
+    coeff = rng.choice([1, -1, 2, -2, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)])
+    return LaurentFraction.from_monomial(space, coeff, [rng.randint(-2, 2) for _ in range(space.m)])
+
+
 def test_fast_path_matches_general_constructor():
     rng = random.Random(20261018)
     for space in (SP, SP2):
         for _ in range(150):
             a, b = rand_laurent(rng, space), rand_laurent(rng, space)
+            # the monomial, unit and zero branches of *, in both operand orders
+            mono = rand_monomial(rng, space)
+            for x, y in ((mono, a), (a, mono), (mono, mono)):
+                want = LaurentFraction(space, _raw_mul(x.num, y.num), _raw_mul(x.den, y.den))
+                got = x * y
+                _assert_canonical(got)
+                assert (got.num, got.den) == (want.num, want.den)
             cross = _raw_mul(a.den, b.den)
             minus_a_den = {e: -c for e, c in a.den.items()}
             expected = {
@@ -237,6 +290,20 @@ def test_fast_path_matches_general_constructor():
             for x, y in ((a, b), (b, a), (a, a)):
                 by_cross = _raw_mul(x.num, y.den) == _raw_mul(y.num, x.den)
                 assert (x == y) == by_cross
+    # a monomial scaling Fraction coefficients onto integers gives ints
+    two_q = LaurentFraction.from_monomial(SP, 2, (1,))
+    halves = LaurentFraction(SP, {(0,): Fraction(1, 2), (2,): Fraction(-3, 2)})
+    for product in (two_q * halves, halves * two_q):
+        assert product.num == {(1,): 1, (3,): -3}
+        assert all(type(c) is int for c in product.num.values())
+    # operands from different spaces still raise, whatever their shape
+    lam = LaurentFraction.parameter(SP2, "lam")
+    for x in (two_q, halves, LaurentFraction.one(SP)):
+        for op in (lambda u, v: u * v, lambda u, v: u + v):
+            with pytest.raises(ValueError):
+                op(x, lam)
+            with pytest.raises(ValueError):
+                op(lam, x)
 
 
 def test_coefficients_are_int_or_fraction():
