@@ -70,27 +70,28 @@ def build_parser():
         prog="cgl", description="Iterated Ore extension toolkit"
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    # each command on a presentation names its handler, called as handler(P, args);
-    # a handler prints its report and returns (exit code, JSON payload thunk)
+    # each command on a presentation names its handler, looked up by main at
+    # call time and called as handler(P, args); a handler prints its report
+    # and returns (exit code, JSON payload thunk)
     for name, helptext, handler in [
-        ("validate", "check the CGL extension axioms", cmd_validate),
-        ("y-elements", "compute the homogeneous prime elements", cmd_y_elements),
-        ("nakayama", "compute the Nakayama automorphism", cmd_nakayama),
-        ("verify-nakayama", "re-derive the Nakayama map from a normal element", cmd_verify_nakayama),
-        ("core", "compute the frame/core decomposition", cmd_core),
-        ("saturation", "test saturation of the commutation subgroups", cmd_saturation),
-        ("center", "compute the monomial center of the torus-invariant part", cmd_center),
-        ("rank", "rank of the character lattice of prime elements", cmd_rank),
+        ("validate", "check the CGL extension axioms", "cmd_validate"),
+        ("y-elements", "compute the homogeneous prime elements", "cmd_y_elements"),
+        ("nakayama", "compute the Nakayama automorphism", "cmd_nakayama"),
+        ("verify-nakayama", "re-derive the Nakayama map from a normal element", "cmd_verify_nakayama"),
+        ("core", "compute the frame/core decomposition", "cmd_core"),
+        ("saturation", "test saturation of the commutation subgroups", "cmd_saturation"),
+        ("center", "compute the monomial center of the torus-invariant part", "cmd_center"),
+        ("rank", "rank of the character lattice of prime elements", "cmd_rank"),
     ]:
         sub = commands.add_parser(name, help=helptext)
         sub.set_defaults(handler=handler)
         _presentation_args(sub)
     sub = commands.add_parser("audit-endo", help="audit a candidate endomorphism")
-    sub.set_defaults(handler=cmd_audit_endo)
+    sub.set_defaults(handler="cmd_audit_endo")
     sub.add_argument("endo", help="endomorphism JSON file ({\"images\": [...]})")
     _presentation_args(sub)
     sub = commands.add_parser("centralizer", help="dimension of a centralizer eigenspace")
-    sub.set_defaults(handler=functools.partial(cmd_centralizer, parser=parser))
+    sub.set_defaults(handler="cmd_centralizer")
     sub.add_argument("gen", help="generator name, e.g. x2 or X12")
     sub.add_argument("s", type=int, help="eigenvalue exponent: v w = q^s w v")
     _presentation_args(sub)
@@ -249,12 +250,12 @@ def cmd_audit_endo(P, args):
     return code, lambda: {**extra, "reports": [rep.to_dict() for rep in reports]}
 
 
-def cmd_centralizer(P, args, parser):
+def cmd_centralizer(P, args):
     from .automorphisms import centralizer_eigenspace_dim
 
     idx = P.generator_index(args.gen)
     if idx is None:
-        parser.error(f"unknown generator {args.gen!r}")
+        build_parser().error(f"unknown generator {args.gen!r}")
     d = centralizer_eigenspace_dim(P, P.x(idx), args.s)
     print(f"dim C_{args.s}({args.gen}) = {d}")
     return 0, lambda: {"dim": d}
@@ -291,7 +292,7 @@ def main(argv=None):
             code, payload = cmd_preset(args, parser)
         else:
             P = _load_presentation(args, parser)
-            code, payload = args.handler(P, args)
+            code, payload = globals()[args.handler](P, args)
         # the JSON payload is built only when it is written
         payload = payload() if getattr(args, "json_out", None) and payload else None
         sys.stdout.flush()

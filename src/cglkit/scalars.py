@@ -11,14 +11,13 @@ Two representations live here:
   Laurent polynomial, and then ``den`` is the constant 1.  Such values take
   one fast path: ``+`` and ``*`` coerce only an operand that is not a
   ``LaurentFraction`` on the same space, ``*`` returns the other operand
-  when one side is 1 (``num == den``) and scales it in one pass when one side
-  is a monomial, and both build their result straight from the sparse dicts,
-  with no cleaning, GCD or content work.  ``==`` compares the numerator
-  dicts.  A Laurent polynomial divided by a Laurent binomial is tried first
-  by synthetic division along the binomial's exponent line
-  (``_divide_by_binomial``), which needs no GCD; an exact quotient comes
-  back as a Laurent polynomial of any size.  Every other division, and an
-  inexact one, takes the general path, as do true quotients
+  when one side is 1 (``num == den``), and both build their result straight
+  from the sparse-dict sum or product, with no cleaning, GCD or content work.
+  ``==`` compares the numerator dicts.  A Laurent polynomial divided by a
+  Laurent binomial is tried first by synthetic division along the binomial's
+  exponent line (``_divide_by_binomial``), which needs no GCD; an exact
+  quotient comes back as a Laurent polynomial of any size.  Every other
+  division, and an inexact one, takes the general path, as do true quotients
   (``len(den) > 1``), except for unary minus, which negates the numerator
   of the reduced value.  The general path skips its GCD when
   len(num) * len(den) exceeds 4096, so equal quotients need not be
@@ -29,8 +28,9 @@ Two representations live here:
   Commutation scalars and torus-element components are restricted to this
   group so that the additive logarithm into Z/2 x Z^m exists.  Its ``coeff``
   is always a ``Fraction``.  Only the constructor checks its arguments: group
-  operations build their valid results with ``_make``, and skip Fraction
-  arithmetic on a coefficient 1 in products and +-1 in powers and inverses.
+  operations build their valid results with ``_make``, and products and
+  ``_power_product`` skip Fraction arithmetic on the coefficients 1 and +-1
+  that every preset's scalars have.
 
 Laurent polynomials are sparse dicts mapping exponent tuples (ints, possibly
 negative) to nonzero coefficients in one canonical form: ``int`` when the
@@ -363,27 +363,29 @@ class LaurentFraction:
             den = _dict_clean(den)
         if not den:
             raise DivisionByZero("zero denominator")
+        object.__setattr__(self, "space", space)
         n, d = self._reduce(space, num, den)
-        _set_space(self, space)
-        _set_num(self, n)
-        _set_den(self, d)
+        object.__setattr__(self, "num", n)
+        object.__setattr__(self, "den", d)
 
     @classmethod
     def _trusted(cls, space, num, den):
         """Build a value from a reduced num/den without ``_dict_clean`` or ``_reduce``.
 
-        Either ``den`` is the constant 1 and ``num`` is zero-free with
-        canonical coefficients, except where Fraction arithmetic landed on an
-        integer, which is turned back into an int here; or num/den is the
+        Either ``den`` is the constant 1 and ``num`` is canonical or a
+        ``_dict_add``/``_dict_mul``/``_dict_neg``/``_divide_by_binomial``
+        result of canonical dicts (zero-free, and integral only where Fraction
+        arithmetic landed on an integer, which is turned back into an int
+        here), or num/den is the
         negation of a reduced quotient.
         """
         for e, c in num.items():
             if type(c) is Fraction and c.denominator == 1:
                 num[e] = c.numerator
         self = object.__new__(cls)
-        _set_space(self, space)
-        _set_num(self, num)
-        _set_den(self, den)
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
         return self
 
     def __setattr__(self, *args):
@@ -527,13 +529,6 @@ class LaurentFraction:
         if other.num == other.den:
             return self
         if len(self.den) == 1 == len(other.den):
-            # a monomial operand scales the other one: its exponent shift is
-            # injective and its coefficient nonzero, so no terms merge or cancel
-            mono, poly = (self, other) if len(self.num) == 1 else (other, self)
-            if len(mono.num) == 1:
-                ((e, c),) = mono.num.items()
-                scaled = {tuple(map(add, e, f)): c * d for f, d in poly.num.items()}
-                return LaurentFraction._trusted(self.space, scaled, self.den)
             return LaurentFraction._trusted(self.space, _dict_mul(self.num, other.num), self.den)
         return LaurentFraction(
             self.space, _dict_mul(self.num, other.num), _dict_mul(self.den, other.den)
@@ -615,10 +610,6 @@ class LaurentFraction:
 
     def __repr__(self):
         return f"<LaurentFraction {self}>"
-
-
-# the slots' own setters, which bypass the immutable ``__setattr__``
-_set_space, _set_num, _set_den = (vars(LaurentFraction)[k].__set__ for k in LaurentFraction.__slots__)
 
 
 def _monomial_str(space, coeff, exps):
@@ -705,7 +696,7 @@ class SignedMonomial:
     def __pow__(self, k: int):
         if not isinstance(k, int):
             raise TypeError("exponent must be an int")
-        return self._make(self.space, _coeff_pow(self.coeff, k), tuple(e * k for e in self.exps))
+        return self._make(self.space, self.coeff**k, tuple(e * k for e in self.exps))
 
     @property
     def is_one(self) -> bool:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cglkit import primes, structure
+from cglkit import cli, primes, structure
 from cglkit.cli import main
 from cglkit.presentation import CGLPresentation
 from cglkit.presets import parse_preset_spec
@@ -375,6 +375,15 @@ def test_fuel_must_be_a_positive_integer(fuel, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"error: argument --fuel: expected a positive integer, got '{fuel}'" in captured.err
+
+
+def test_handlers_are_looked_up_at_call_time(monkeypatch, capsys):
+    """The shared parser names each handler, so a handler replaced after it was built still runs."""
+    assert main(["y-elements", "--preset", "oq-matrices:2,2"]) == 0
+    calls = []
+    monkeypatch.setattr(cli, "cmd_y_elements", lambda P, args: (calls.append(P.N) or 7, None))
+    assert main(["y-elements", "--preset", "oq-matrices:2,2"]) == 7
+    assert calls == [4]
 
 
 def test_roundtrip_emitted_file_through_validate(tmp_path, capsys):

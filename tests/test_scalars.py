@@ -257,7 +257,7 @@ def test_fast_path_matches_general_constructor():
     for space in (SP, SP2):
         for _ in range(150):
             a, b = rand_laurent(rng, space), rand_laurent(rng, space)
-            # the monomial, unit and zero branches of *, in both operand orders
+            # monomial, unit and zero operands of *, in both operand orders
             mono = rand_monomial(rng, space)
             for x, y in ((mono, a), (a, mono), (mono, mono)):
                 want = LaurentFraction(space, _raw_mul(x.num, y.num), _raw_mul(x.den, y.den))
