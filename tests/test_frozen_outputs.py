@@ -76,6 +76,10 @@ def _cases():
     for name in ["shear", "identity", "diagonal", "diagonal-shear", "breaking", "singular"]:
         argv = ["audit-endo", INPUTS / f"endo_{name}.json", "--preset", "quantum-affine:3"]
         cases.append((_slug("audit-endo", "quantum-affine:3", name), argv))
+    # oq-matrices:2,2 with x2 -> x2 + x1*x2, which breaks the pairs (3, 2) and
+    # (4, 2), and (4, 1) only through the x2 in Q_41 = -(q - q^-1) x2 x3
+    argv = ["audit-endo", INPUTS / "endo_x2-plus-x1x2.json", "--preset", "oq-matrices:2,2"]
+    cases.append((_slug("audit-endo", "oq-matrices:2,2", "x2-plus-x1x2"), argv))
     # files written by `cgl preset emit --preset <spec> --json <file>`
     for preset in ["uq-sl3", "multiparam-matrices:2", "quantum-plane-minus-one"]:
         path = INPUTS / f"{_slug('preset', preset)}.json"
