@@ -1,7 +1,10 @@
 """Endomorphism audits, graded factorization, and unipotent searches."""
 
+import random
+
 import pytest
 
+from cglkit import pbw
 from cglkit.automorphisms import (
     EndomorphismSpec,
     centralizer_eigenspace_dim,
@@ -17,10 +20,11 @@ from cglkit.errors import (
     NotFiltered,
     SingularDegreeZeroPart,
 )
+from cglkit.pbw import PBWPolynomial, apply_endomorphism
 from cglkit.presentation import CGLPresentation, TorusData
 from cglkit.presets import parse_preset_spec
-from cglkit.primes import compute_y_elements
-from cglkit.scalars import SignedMonomial
+from cglkit.primes import compute_y_elements, monomials_of_degree
+from cglkit.scalars import LaurentFraction, SignedMonomial
 from cglkit.structure import DiagonalMap, core_decomposition, nakayama_automorphism
 
 XI_VALUES = ["1", "-1", "q", "q^-1", "2 - q"]
@@ -116,6 +120,153 @@ def test_unsaturated_commutation_group_downgrades_the_audit():
     report = check_unipotent_structure(P, T, D, EndomorphismSpec.identity(P))
     assert report.passed
     assert any("not saturated" in w for w in report.warnings)
+
+
+# -- relation checks against the full loop -----------------------------------
+
+
+def _full_relation_failures(P, images):
+    """Every failing (k, j), 1-based, with every relation multiplied out."""
+    bad = []
+    for k in range(P.N):
+        for j in range(k):
+            lhs = P.mul(images[k], images[j])
+            rhs = P.mul(images[j], images[k]).scale(P.lam_fraction(k, j))
+            q_poly = P.Q.get((k, j))
+            if q_poly is not None:
+                rhs = rhs + apply_endomorphism(images, q_poly, P)
+            if lhs != rhs:
+                bad.append((k + 1, j + 1))
+    return bad
+
+
+def _failing_pairs(report):
+    (check,) = report.checks
+    assert check.passed == (check.detail == "")
+    return check.detail
+
+
+def _perturbations(P, rng, count):
+    """Specs that add a random monomial of degree 0..3 to one or two generators."""
+    q = LaurentFraction.parameter(P.space, P.space.names[0])
+    coeffs = [LaurentFraction.one(P.space), q, q.inverse(), -LaurentFraction.one(P.space)]
+    pool = [m for d in range(4) for m in monomials_of_degree(P, d)]
+    for _ in range(count):
+        images = [P.x(t) for t in range(P.N)]
+        for i in rng.sample(range(P.N), rng.choice([1, 2])):
+            mono = rng.choice(pool)
+            images[i] = images[i] + PBWPolynomial(P.space, P.N, {mono: rng.choice(coeffs)})
+        yield EndomorphismSpec(images)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "oq-matrices:2,2",
+        "oq-matrices:2,3",
+        "multiparam-matrices:2",
+        "multiparam-matrices:3",
+        "uq-sl3",
+        "quantum-affine:3",
+    ],
+)
+def test_verify_lists_exactly_the_pairs_of_the_full_loop(spec):
+    """The skipped relations are the ones the rewrite rules prove, and every
+    failing pair is still listed, in the same order."""
+    P = parse_preset_spec(spec)
+    specs = list(_perturbations(P, random.Random(f"perturb:{spec}"), 25))
+    specs.append(EndomorphismSpec([P.parse(f"x{i + 1}") for i in range(P.N)]))
+    if spec == "quantum-affine:3":
+        specs += [shear(P, xi) for xi in XI_VALUES]
+    seen = {"pass": 0, "several": 0, "through_q": 0}
+    for e in specs:
+        expected = _full_relation_failures(P, e.images)
+        assert _failing_pairs(verify_endomorphism(P, e)) == (
+            f"failing pairs {expected}" if expected else ""
+        ), [P.format(img) for img in e.images]
+        moved = {i + 1 for i, img in enumerate(e.images) if img != P.x(i)}
+        seen["pass"] += not expected
+        seen["several"] += len(expected) > 1
+        seen["through_q"] += any(not moved & {k, j} for k, j in expected)
+    assert seen["pass"] and seen["several"]
+    if P.Q:
+        assert seen["through_q"]
+
+
+def _full_check_search(P, samples, seed, max_degree):
+    """The sampler of random_unipotent_search, with the full relation loop."""
+    rng = random.Random(seed)
+    degs = P.generator_degrees()
+    pool = {d: monomials_of_degree(P, d) for d in range(1, max_degree + 1)}
+    q = LaurentFraction.parameter(P.space, P.space.names[0])
+    coeffs = [LaurentFraction.one(P.space), q, q.inverse()]
+    hits = []
+    tested = 0
+    for _ in range(samples):
+        i = rng.randrange(P.N)
+        choices = [m for d in range(degs[i] + 1, max_degree + 1) for m in pool[d]]
+        if not choices:
+            continue
+        mono = rng.choice(choices)
+        coeff = coeffs[rng.randrange(len(coeffs))]
+        images = [P.x(t) for t in range(P.N)]
+        images[i] = images[i] + PBWPolynomial(P.space, P.N, {mono: coeff})
+        e = EndomorphismSpec(images)
+        tested += 1
+        if not _full_relation_failures(P, images) and is_unipotent(P, e):
+            hits.append(e)
+    return hits, tested
+
+
+@pytest.mark.parametrize(
+    "spec, samples, seed, max_degree, has_hits",
+    [("quantum-affine:3", 200, 11, 2, True), ("oq-matrices:2,2", 60, 7, 3, False)],
+)
+def test_search_matches_the_full_check(spec, samples, seed, max_degree, has_hits):
+    P = parse_preset_spec(spec)
+    hits, tested = random_unipotent_search(P, samples, seed, max_degree)
+    assert (hits, tested) == _full_check_search(P, samples, seed, max_degree)
+    assert bool(hits) == has_hits
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """Count pbw.multiply calls, through P.mul and apply_endomorphism alike."""
+    calls = []
+    multiply = pbw.multiply
+
+    def counting_multiply(p, r, P, strategy="leftmost"):
+        calls.append((p, r))
+        return multiply(p, r, P, strategy)
+
+    monkeypatch.setattr(pbw, "multiply", counting_multiply)
+    return calls
+
+
+def test_identity_makes_no_products(products):
+    for spec in ["oq-matrices:2,3", "uq-sl3", "multiparam-matrices:2"]:
+        P = parse_preset_spec(spec)
+        copies = EndomorphismSpec([P.x(i) + 0 for i in range(P.N)])
+        for e in [EndomorphismSpec.identity(P), copies]:
+            assert verify_endomorphism(P, e).passed
+    assert products == []
+
+
+def test_shear_multiplies_out_only_the_relations_of_x2(products):
+    P = parse_preset_spec("quantum-affine:3")
+    e = shear(P, "1")
+    products.clear()
+    assert verify_endomorphism(P, e).passed
+    # x2 x1 and x3 x2, each as lhs and rhs; x3 x1 is proved by its rule
+    assert len(products) == 4
+    assert all(e.images[1] in (p, r) for p, r in products)
+
+
+def test_wrong_number_of_images_is_a_value_error(products):
+    P = parse_preset_spec("oq-matrices:2,2")
+    with pytest.raises(ValueError, match="expected 4 images, got 1"):
+        verify_endomorphism(P, EndomorphismSpec([P.x(0)]))
+    assert products == []
 
 
 # -- graded factorization ----------------------------------------------------
