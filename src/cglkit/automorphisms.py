@@ -111,8 +111,10 @@ def check_unipotent_structure(P, T, D, e: EndomorphismSpec) -> ValidationReport:
     a higher-degree correction a_i that is normal with the commutation
     scalars of x_i.  D is a CoreDecomposition.
     """
-    from .primes import is_saturated
+    from .primes import _failing_normality, is_saturated
 
+    if len(e.images) != P.N:
+        raise ValueError(f"expected {P.N} images, got {len(e.images)}")
     report = ValidationReport(subject=f"unipotent structure on {P.name or 'presentation'}")
     if not is_saturated(P.lam):
         report.warn(
@@ -131,11 +133,7 @@ def check_unipotent_structure(P, T, D, e: EndomorphismSpec) -> ValidationReport:
             f"correction of x_{i + 1} lies strictly above degree {degs[i]}",
             pbw.min_degree(a, P) > degs[i],
         )
-        bad_j = [
-            j + 1
-            for j in range(P.N)
-            if P.mul(a, P.x(j)) != P.mul(P.x(j), a).scale(P.lam_fraction(i, j))
-        ]
+        bad_j = [j + 1 for j in _failing_normality(P, a, P.lam[i], range(P.N))]
         report.check(
             f"correction of x_{i + 1} is normal with the scalars of x_{i + 1}",
             bad_j,

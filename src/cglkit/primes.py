@@ -13,7 +13,9 @@ x_k, so sigma_k(c) = s_j lambda_k c with lambda_k = chi_k(h_k).  The x_k^1
 coefficients of the normality condition give (lambda_k - 1) c = gamma_k
 delta_k(y_j), so c = delta_k(y_j) / (s_j (lambda_k - 1)); CGL axiom (iii)
 says lambda_k is not a root of unity.  No linear system is posed: y is built
-from this c and checked directly on every x_i, i <= k.
+from this c and checked directly on every x_i, i <= k, unless one product
+refuses it when delta_k(y_j) = 0.  The commutation facts these products prove
+are kept with the table, for the Nakayama certificate to read.
 
 All indices are 0-based in code; reports and CLI output are 1-based.  The
 sentinels -infinity (for predecessors) and +infinity (for successors) are
@@ -165,7 +167,16 @@ def monomials_of_degree(P, d, top=None):
     return _monomials(P, degs, d, top, ())
 
 
-def _solve_predecessor(P, y_j, chain_j, k, target_chi):
+def _failing_normality(P, p, scalars, indices):
+    """Yield each i of indices, in order, with p x_i != scalars[i] x_i p, for
+    SignedMonomial scalars; each check is the two products p x_i and x_i p."""
+    for i in indices:
+        x = P.x(i)
+        if P.mul(p, x) != P.mul(x, p).scale(scalars[i].to_fraction()):
+            yield i
+
+
+def _solve_predecessor(P, y_j, chain_j, k, target_chi, ledger):
     """The normal y = y_j x_k - c in the prefix subalgebra, as (y, c), or None.
 
     On a monomial m below x_k, sigma_k(m) = mu_m m with mu_m = prod_i
@@ -181,13 +192,24 @@ def _solve_predecessor(P, y_j, chain_j, k, target_chi):
     c is formed term by term on the support of Delta.  Each divisor
     mu_m - s_j is a difference of two signed monomials, by which ``scalars``
     divides a Laurent Delta_m without a GCD; a zero mu_m - s_j makes the x_k
-    row inconsistent, and there is no c.  y is then checked
-    directly, y x_i = gamma_i x_i y for i = 0..k with gamma_i the product of
-    lambda_{u i} over the chain [k] + chain_j, so no verdict rests on the
-    formula.  Only once y passes are the monomials of the target character
-    listed: a c outside their span gives None, and one of them outside the
-    support of Delta with mu_m = s_j is left free by the x_k row, which
-    raises AmbiguousPredecessor.
+    row inconsistent, and there is no c.
+
+    Delta = 0 proves x_k y_j = s_j y_j x_k; then c = 0 and y = y_j x_k.  In
+    y x_i = y_j (lambda_ki x_i x_k + Q_ki), i < k, only the branch y_j Q_ki
+    of x_i's first move, past x_k, has no x_k, and every term of
+    x_i y = (x_i y_j) x_k keeps it.  So the x_k^0 part of y x_i - gamma_i x_i y
+    is y_j Q_ki, and a nonzero one at the least i with Q_ki != 0 proves y
+    not normal: None, without the normality row.
+
+    Otherwise y is checked directly, y x_i = gamma_i x_i y for i = 0..k with
+    gamma_i the product of lambda_{u i} over the chain [k] + chain_j, so no
+    verdict rests on the formula.  Only once y passes are the monomials of
+    the target character listed: a c outside their span gives None, and one
+    of them outside the support of Delta with mu_m = s_j is left free by the
+    x_k row, which raises AmbiguousPredecessor.
+
+    Each fact x_i y_l = s y_l x_i that these products prove is kept as
+    ledger[i, l] = (y_l, s): (k, j) when Delta = 0, (i, k), i <= k, for y.
     """
     s_j = prod((P.lam[k][u] for u in chain_j), start=SignedMonomial.one(P.space))
     lead = P.mul(y_j, P.x(k))
@@ -197,18 +219,22 @@ def _solve_predecessor(P, y_j, chain_j, k, target_chi):
         if mu == s_j:
             return None
         terms[m] = coeff / (mu.to_fraction() - s_j.to_fraction())
+    if not terms:
+        ledger[k, chain_j[0]] = (y_j, s_j)
+        i = next((i for i in range(k) if (k, i) in P.Q), None)
+        if i is not None and not P.mul(y_j, P.Q[k, i]).is_zero:
+            return None
     c = PBWPolynomial(P.space, P.N, terms)
     y = lead - c
-    chain = [k] + chain_j
-    for i in range(k + 1):
-        gamma = prod((P.lam_fraction(u, i) for u in chain), start=P.unit)
-        if P.mul(y, P.x(i)) != P.mul(P.x(i), y).scale(gamma):
-            return None
+    gammas = [prod((P.lam[u][i] for u in chain_j), start=P.lam[k][i]) for i in range(k + 1)]
+    if next(_failing_normality(P, y, gammas, range(k + 1)), None) is not None:
+        return None
     basis = set(monomials_with_character(P, target_chi, top=k))
     if not basis.issuperset(terms):
         return None
     if any(_power_product(P.space, P.lam[k], m) == s_j for m in basis.difference(terms)):
         raise AmbiguousPredecessor(f"the x_{k + 1} row leaves c free at k = {k + 1}")
+    ledger.update(((i, k), (y, gamma.inverse())) for i, gamma in enumerate(gammas))
     return y, c
 
 
@@ -229,8 +255,12 @@ def compute_y_elements(P) -> YElementTable:
     pred = []
     succ = [None] * N
     c_map = {}
+    ledger = {}
     for k in range(N):
         if not any((k, j) in P.Q for j in range(k)):
+            # with no Q_ki, the rewrite rule proves x_i x_k = lambda_ki^-1 x_k x_i
+            facts = [P.lam[k][i].inverse() for i in range(k)] + [SignedMonomial.one(P.space)]
+            ledger.update(((i, k), (P.x(k), s)) for i, s in enumerate(facts))
             y.append(P.x(k))
             y_chi.append(tuple(P.torus.chi[k]))
             pred.append(None)
@@ -243,7 +273,7 @@ def compute_y_elements(P) -> YElementTable:
             while pred[chain_j[-1]] is not None:
                 chain_j.append(pred[chain_j[-1]])
             target_chi = _chi_add(y_chi[j], P.torus.chi[k])
-            solved = _solve_predecessor(P, y[j], chain_j, k, target_chi)
+            solved = _solve_predecessor(P, y[j], chain_j, k, target_chi, ledger)
             if solved is not None:
                 hits.append((j, solved))
         if not hits:
@@ -293,6 +323,7 @@ def compute_y_elements(P) -> YElementTable:
     table = YElementTable(
         y=y, c=c_map, alpha=alpha, qmat=qmat, eta_data=eta_data, characters=y_chi
     )
+    table._ledger = ledger  # read only when the table is P._y_table
     P._y_table = table
     return table
 

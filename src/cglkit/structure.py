@@ -9,7 +9,7 @@ from .errors import InternalInconsistency, MissingHStar
 from .lattice import row_space_basis
 from .pbw import PBWPolynomial, _scale_diagonally
 from .presentation import CGLPresentation, TorusData, _require_reversible, validate_symmetric
-from .primes import YElementTable, compute_P_x
+from .primes import YElementTable, _failing_normality, compute_P_x
 from .reporting import ValidationReport
 from .scalars import SignedMonomial, _power_product
 
@@ -102,24 +102,34 @@ def verify_nakayama_by_normal_element(
     index), and beta_k is the product of alpha_{k,l} over the final l.  Each
     final y_l is normal on its own, x_k y_l = alpha_{k,l} y_l x_k, and scalars
     are central, so these r factor identities give x_k u = beta_k u x_k; when
-    they hold and beta_k = nu_k, x_k u = u nu(x_k) is proved without u.  Any
-    other k is decided on u itself, built once when first needed, so every
-    failure rests on the full product.  Separately checks the scalar identity
+    they hold and beta_k = nu_k, x_k u = u nu(x_k) is proved without u.  A
+    factor identity that the y-element recursion's own products proved for
+    this y_l and this alpha_{k,l} is read from its ledger when T is the table
+    the recursion cached on P; every other one is multiplied out.  Any other
+    k is decided on u itself, built once when first needed, so every failure
+    rests on the full product.  Separately checks the scalar identity
     beta_k = prod_j lambda_kj, that is beta_k = nu_k.
     """
+    if len(nu.eigenvalues) != P.N:
+        raise ValueError(f"expected {P.N} eigenvalues, got {len(nu.eigenvalues)}")
+    if len(T.y) != P.N:
+        raise ValueError(f"expected {P.N} y-elements, got {len(T.y)}")
     report = ValidationReport(subject=f"Nakayama via normal element for {P.name or 'presentation'}")
     finals = T.finals()
     one = SignedMonomial.one(P.space)
     betas = [prod((T.alpha[k][l] for l in finals), start=one) for k in range(P.N)]
+    ledger = T._ledger if getattr(P, "_y_table", None) is T else {}
+    factored = [k for k in range(P.N) if betas[k] == nu.eigenvalues[k]]
+    for l in finals:
+        facts = [ledger.get((k, l), (None, None)) for k in factored]
+        open_k = [k for k, (y, s) in zip(factored, facts) if y is not T.y[l] or s != T.alpha[k][l]]
+        inverses = [row[l].inverse() for row in T.alpha]
+        failed = set(_failing_normality(P, T.y[l], inverses, open_k))
+        factored = [k for k in factored if k not in failed]
     u = None
     bad = []
-    for k in range(P.N):
+    for k in sorted(set(range(P.N)).difference(factored)):
         x = P.x(k)
-        if betas[k] == nu.eigenvalues[k] and all(
-            P.mul(x, T.y[l]) == P.mul(T.y[l], x).scale(T.alpha[k][l].to_fraction())
-            for l in finals
-        ):
-            continue
         if u is None:
             u = P.one()
             for l in finals:

@@ -96,6 +96,14 @@ def test_structure_audit_rejects_non_normal_corrections():
     assert "correction of x_2 is normal with the scalars of x_2" in names
 
 
+def test_structure_audit_rejects_a_wrong_number_of_images():
+    P = parse_preset_spec("oq-matrices:2,2")
+    T = compute_y_elements(P)
+    D = core_decomposition(P, T)
+    with pytest.raises(ValueError, match="^expected 4 images, got 1$"):
+        check_unipotent_structure(P, T, D, EndomorphismSpec([P.x(0)]))
+
+
 def minus_one_plane_with_h_star():
     from cglkit.scalars import ParameterSpace
 

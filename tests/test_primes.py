@@ -525,7 +525,7 @@ def test_normal_element_off_the_target_character_is_not_a_predecessor():
     y = P.mul(P.x(0), P.x(1)) - c
     for i, gamma in [(0, P.scalar("q")), (1, 1 / P.scalar("q"))]:
         assert P.mul(y, P.x(i)) == P.mul(P.x(i), y).scale(gamma)
-    assert primes._solve_predecessor(P, P.x(0), [0], 1, (1, 1)) is None
+    assert primes._solve_predecessor(P, P.x(0), [0], 1, (1, 1), {}) is None
     with pytest.raises(NoPredecessorSolution):
         compute_y_elements(P)
 
@@ -561,7 +561,7 @@ def test_ambiguous_predecessor_when_every_row_vanishes():
     lower = {(k, j): beta(chi[k], chi[j]) for k in range(3) for j in range(k)}
     P = CGLPresentation.build(sp, 3, lower, {}, torus)
     with pytest.raises(AmbiguousPredecessor):
-        primes._solve_predecessor(P, P.x(0), [0], 2, chi[1])
+        primes._solve_predecessor(P, P.x(0), [0], 2, chi[1], {})
 
 
 # -- the closed form against the full stacked system ------------------------
@@ -640,8 +640,8 @@ def test_closed_form_matches_the_full_system(spec, tau, monkeypatch):
     solve = primes._solve_predecessor
     visited = []
 
-    def compared(P, y_j, chain_j, k, target_chi):
-        found = solve(P, y_j, chain_j, k, target_chi)
+    def compared(P, y_j, chain_j, k, target_chi, ledger):
+        found = solve(P, y_j, chain_j, k, target_chi, ledger)
         expected = _full_system_solve(P, y_j, chain_j, k, target_chi)
         if expected is None:
             assert found is None, (k, chain_j)
@@ -659,12 +659,8 @@ def test_closed_form_matches_the_full_system(spec, tau, monkeypatch):
     assert len(visited) > len(hits)
 
 
-def test_y_element_recursion_product_count(monkeypatch):
-    """The products of the recursion on oq-matrices:3,3: each candidate
-    makes x_k y_j and the lead y_j x_k, which together give delta_k(y_j),
-    and at most 2(k + 1) for the direct check, 120 in all, against 454 when
-    every candidate posed all k + 1 normality rows."""
-    P = parse_preset_spec("oq-matrices:3,3")
+def counting_products(monkeypatch):
+    """Record every pbw.multiply call from here on; returns the growing list."""
     products = []
     multiply = pbw.multiply
 
@@ -673,8 +669,77 @@ def test_y_element_recursion_product_count(monkeypatch):
         return multiply(p, r, P, strategy)
 
     monkeypatch.setattr(pbw, "multiply", counting_multiply)
+    return products
+
+
+def test_y_element_recursion_product_count(monkeypatch):
+    """The products of the recursion on oq-matrices:3,3: each of its 18
+    candidates makes x_k y_j and the lead y_j x_k, which together give
+    delta_k(y_j); each of the 14 misses then makes the one product y_j Q_ki
+    that proves it (one fewer than the 2 of the normality row that decided
+    it before), and the 4 hits, at k = 5, 6, 8, 9 (1-based), make 2 k each
+    for the direct check: 36 + 14 + 56 = 106 in all, against 120 when the
+    first normality row decided each miss and 454 when every candidate posed
+    all k normality rows."""
+    P = parse_preset_spec("oq-matrices:3,3")
+    products = counting_products(monkeypatch)
+    T = compute_y_elements(P)
+    assert [k + 1 for k in T.c] == [5, 6, 8, 9]
+    assert len(products) == 106 < 120 < 454
+
+
+def test_a_miss_costs_three_products(monkeypatch):
+    """On uq-sl3 the recursion runs at k = 3 only (1-based), on y_1 and y_2.
+    y_2 is the miss: delta_3(y_2) = 0 from x_3 y_2 and y_2 x_3, and the
+    nonzero y_2 Q_31 decides it, 3 products.  y_1 is the hit: 2 for
+    delta_3(y_1) and 2 per row on x_1, x_2, x_3 for the direct check."""
+    P = parse_preset_spec("uq-sl3")
+    products = counting_products(monkeypatch)
+    solve = primes._solve_predecessor
+    visited = []
+
+    def counted(P, y_j, chain_j, k, target_chi, ledger):
+        before = len(products)
+        found = solve(P, y_j, chain_j, k, target_chi, ledger)
+        visited.append((k + 1, chain_j[0] + 1, found is not None, len(products) - before))
+        return found
+
+    monkeypatch.setattr(primes, "_solve_predecessor", counted)
     compute_y_elements(P)
-    assert len(products) == 120 < 454
+    assert visited == [(3, 1, True, 8), (3, 2, False, 3)]
+
+
+@pytest.mark.parametrize(
+    "spec", ["oq-matrices:2,3", "oq-matrices:3,3", "multiparam-matrices:3", "uq-sl3"]
+)
+def test_a_miss_is_decided_by_its_x_k_free_part(spec, monkeypatch):
+    """At every miss delta_k(y_j) = 0, so y = y_j x_k, and for every i < k
+    with Q_ki != 0 the x_k^0 part of the normality row y x_i - gamma_i x_i y
+    is y_j Q_ki, which is nonzero."""
+    P = parse_preset_spec(spec)
+    solve = primes._solve_predecessor
+    misses = []
+
+    def compared(P, y_j, chain_j, k, target_chi, ledger):
+        found = solve(P, y_j, chain_j, k, target_chi, ledger)
+        if found is None:
+            x_k = P.x(k)
+            s_j = prod((P.lam_fraction(k, u) for u in chain_j), start=P.unit)
+            assert P.mul(x_k, y_j) == P.mul(y_j, x_k).scale(s_j)
+            y = P.mul(y_j, x_k)
+            for i in range(k):
+                if (k, i) not in P.Q:
+                    continue
+                gamma = prod((P.lam_fraction(u, i) for u in [k] + chain_j), start=P.unit)
+                row = P.mul(y, P.x(i)) - P.mul(P.x(i), y).scale(gamma)
+                free = {m: c for m, c in row.terms.items() if not m[k]}
+                assert free == P.mul(y_j, P.Q[k, i]).terms != {}
+            misses.append(k)
+        return found
+
+    monkeypatch.setattr(primes, "_solve_predecessor", compared)
+    compute_y_elements(P)
+    assert misses
 
 
 @pytest.mark.parametrize(

@@ -95,13 +95,29 @@ def test_diagonal_torus_dimension_equals_rank(spec):
     assert diagonal_constraint_rank(P) == rank_of(P, T)
 
 
-@pytest.mark.parametrize("spec", SYMMETRIC_PRESETS)
+@pytest.mark.parametrize(
+    "spec",
+    SYMMETRIC_PRESETS
+    + [
+        "quantum-affine:9",
+        "oq-matrices:1,4",
+        "oq-matrices:2,4",
+        "oq-matrices:4,2",
+        "oq-matrices:3,3",
+        "multiparam-matrices:3",
+    ],
+)
 def test_nakayama_verified_by_normal_element(spec):
+    """Every symmetric preset up to N = 9, with the report of the full
+    product as the reference."""
     P = parse_preset_spec(spec)
     T = compute_y_elements(P)
     nu = nakayama_automorphism(P)
     report = verify_nakayama_by_normal_element(P, T, nu)
     assert report.passed, str(report)
+    reference = full_product_nakayama_report(P, T, nu)
+    assert str(report) == str(reference)
+    assert report.to_dict() == reference.to_dict()
 
 
 def full_product_nakayama_report(P, T, nu):
@@ -161,10 +177,8 @@ def test_perturbed_alpha_is_decided_on_the_full_product(spec):
     assert report.to_dict() == reference.to_dict()
 
 
-def test_nakayama_certificate_never_builds_u_when_every_factor_holds(monkeypatch):
-    P = parse_preset_spec("oq-matrices:3,4")
-    T = compute_y_elements(P)
-    nu = nakayama_automorphism(P)
+def counted_products(monkeypatch, P):
+    """Record every P.mul call from here on; returns the growing list."""
     calls = []
     mul = P.mul
 
@@ -173,8 +187,102 @@ def test_nakayama_certificate_never_builds_u_when_every_factor_holds(monkeypatch
         return mul(p, r)
 
     monkeypatch.setattr(P, "mul", counting_mul)
+    return calls
+
+
+def test_nakayama_certificate_never_builds_u_when_every_factor_holds(monkeypatch):
+    """On oq-matrices:3,4 (finals y_4, y_8..y_12) the recursion's ledger
+    holds every factor identity x_k y_l with k <= l: the check of a hit y_l
+    on x_1..x_l, or the rewrite rule when l has no Q_lj.  It holds k > l too
+    when k has some Q_kj, because the recursion made delta_k(y_l) = 0 with
+    y_l a candidate at step k.  Left are the pairs k > l whose x_k has no Q,
+    (5, 4), (9, 4) and (9, 8), at 2 products each: 6, against
+    2 N r = 144 with every factor multiplied out, and u is never built."""
+    P = parse_preset_spec("oq-matrices:3,4")
+    T = compute_y_elements(P)
+    nu = nakayama_automorphism(P)
+    calls = counted_products(monkeypatch, P)
     assert verify_nakayama_by_normal_element(P, T, nu).passed
-    assert len(calls) == 2 * P.N * len(T.finals())
+    finals = T.finals()
+    no_q = [k for k in range(P.N) if not any((k, j) in P.Q for j in range(k))]
+    pairs = [(k + 1, l + 1) for k in no_q for l in finals if l < k]
+    assert pairs == [(5, 4), (9, 4), (9, 8)]
+    assert len(calls) == 2 * len(pairs) == 6 < 2 * P.N * len(finals) == 144
+
+
+def assert_fails_as_on_the_full_product(report, P, T, nu, details):
+    assert not report.passed
+    assert [c.detail for c in report.checks] == details
+    reference = full_product_nakayama_report(P, T, nu)
+    assert str(report) == str(reference)
+    assert report.to_dict() == reference.to_dict()
+
+
+@pytest.mark.parametrize("spec", PERTURBED_PRESETS)
+def test_alpha_edited_in_place_is_not_read_from_the_ledger(spec):
+    """alpha_{1,l} of the recursion's own table and nu_1 are both scaled by
+    lambda_12, so beta_1 = nu_1 still holds; the ledger's fact for (1, l)
+    carries the old scalar, so the factor is multiplied out, fails, and
+    x_1 u is decided on u."""
+    P = parse_preset_spec(spec)
+    T = compute_y_elements(P)
+    l = T.finals()[0]
+    T.alpha[0][l] = T.alpha[0][l] * P.lam[0][1]
+    eigenvalues = list(nakayama_automorphism(P).eigenvalues)
+    eigenvalues[0] = eigenvalues[0] * P.lam[0][1]
+    nu = DiagonalMap(eigenvalues)
+    report = verify_nakayama_by_normal_element(P, T, nu)
+    assert_fails_as_on_the_full_product(report, P, T, nu, ["failing k [1]", ""])
+
+
+@pytest.mark.parametrize("spec", PERTURBED_PRESETS)
+def test_y_replaced_in_place_is_not_read_from_the_ledger(spec):
+    """The last final y_l = y_j x_l - c_l of the recursion's own table is
+    replaced by its uncorrected lead y_j x_l: the same character and alpha
+    row, so every beta_k = nu_k, but not normal.  The ledger's facts name
+    the old y_l object, so every factor with y_l is multiplied out."""
+    P = parse_preset_spec(spec)
+    T = compute_y_elements(P)
+    l = T.finals()[-1]
+    T.y[l] = P.mul(T.y[T.eta_data.pred[l]], P.x(l))
+    nu = nakayama_automorphism(P)
+    detail = full_product_nakayama_report(P, T, nu).checks[0].detail
+    assert detail.startswith("failing k [")
+    report = verify_nakayama_by_normal_element(P, T, nu)
+    assert_fails_as_on_the_full_product(report, P, T, nu, [detail, ""])
+
+
+@pytest.mark.parametrize("spec", PERTURBED_PRESETS)
+def test_table_of_a_second_presentation_gets_every_product(spec, monkeypatch):
+    """A table the recursion built on another presentation object of the
+    same preset is not P's own, so none of its ledger is read.  With nu_2
+    perturbed as in test_perturbed_nu_fails_as_on_the_full_product, x_2 is
+    decided on u and every other k on its r factors: 2 r (N - 1) factor
+    products, r to build u and 2 for x_2 u."""
+    P = parse_preset_spec(spec)
+    T = compute_y_elements(parse_preset_spec(spec))
+    eigenvalues = list(nakayama_automorphism(P).eigenvalues)
+    eigenvalues[1] = eigenvalues[1] * P.lam[0][1]
+    nu = DiagonalMap(eigenvalues)
+    calls = counted_products(monkeypatch, P)
+    report = verify_nakayama_by_normal_element(P, T, nu)
+    r = len(T.finals())
+    assert len(calls) == 2 * r * (P.N - 1) + r + 2
+    monkeypatch.undo()
+    assert_fails_as_on_the_full_product(
+        report, P, T, nu, ["failing k [2]", "failing k [2]"]
+    )
+
+
+def test_certificate_rejects_inputs_of_the_wrong_length():
+    P = parse_preset_spec("oq-matrices:2,2")
+    T = compute_y_elements(P)
+    nu = nakayama_automorphism(P)
+    with pytest.raises(ValueError, match="^expected 4 eigenvalues, got 2$"):
+        verify_nakayama_by_normal_element(P, T, DiagonalMap(nu.eigenvalues[:2]))
+    short = dataclasses.replace(T, y=T.y[:3])
+    with pytest.raises(ValueError, match="^expected 4 y-elements, got 3$"):
+        verify_nakayama_by_normal_element(P, short, nu)
 
 
 def test_normal_element_conjugation_beyond_generators():
