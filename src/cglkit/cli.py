@@ -18,6 +18,7 @@ from .automorphisms import (
 )
 from .errors import (
     CGLError,
+    ExponentOverflow,
     MalformedPresentation,
     NotAMonomial,
     NotFiltered,
@@ -312,7 +313,7 @@ def main(argv=None):
             print(f"  {line_text}", file=sys.stderr)
             print(f"  {' ' * (exc.col - 1)}^", file=sys.stderr)
         return 2
-    except (UnknownPreset, MalformedPresentation, NotAMonomial) as exc:
+    except (UnknownPreset, MalformedPresentation, NotAMonomial, ExponentOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

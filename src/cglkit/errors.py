@@ -9,6 +9,10 @@ class DivisionByZero(CGLError, ZeroDivisionError):
     pass
 
 
+class ExponentOverflow(CGLError):
+    """A parameter exponent reached 2^31 in absolute value."""
+
+
 class NotAMonomial(CGLError):
     """A scalar was required to be a signed parameter monomial and is not."""
 

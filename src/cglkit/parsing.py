@@ -22,8 +22,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import pbw
-from .errors import ParseError, UnknownGenerator
-from .scalars import LaurentFraction, _monomial_str, _poly_str, _term_sort_key
+from .errors import ExponentOverflow, ParseError, UnknownGenerator
+from .scalars import LaurentFraction, _monomial_str, _poly_str, _term_sort_key, _unpacked
 
 
 class Token(NamedTuple):
@@ -137,7 +137,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "OP" and tok.text == "^":
             self.next()
-            value = self.raise_power(value, self.int_exponent(), base_tok)
+            try:
+                value = self.raise_power(value, self.int_exponent(), base_tok)
+            except ExponentOverflow as exc:
+                self.fail(str(exc), tok)
         return value
 
     def int_exponent(self):
@@ -283,7 +286,7 @@ def format_scalar(value: LaurentFraction) -> str:
 
 def _coeff_prefix(coeff: LaurentFraction):
     """(sign, text) where text is '' for +-1 and a safe factor otherwise."""
-    num = coeff.num
+    num = _unpacked(coeff.space, coeff.num)
     if max(num.items(), key=_term_sort_key)[1] < 0:
         sign, text = _coeff_prefix(-coeff)
         return ("-" if sign == "+" else "+"), text

@@ -32,11 +32,24 @@ Two representations live here:
   ``_power_product`` skip Fraction arithmetic on the coefficients 1 and +-1
   that every preset's scalars have.
 
-Laurent polynomials are sparse dicts mapping exponent tuples (ints, possibly
-negative) to nonzero coefficients in one canonical form: ``int`` when the
-coefficient is integral and ``Fraction`` otherwise, never ``float``.  Integer
-coefficients keep the inner loop of the product in machine-size int
-arithmetic; every division of coefficients goes through ``Fraction``.
+Laurent polynomials are sparse dicts mapping one packed int key per term to a
+nonzero coefficient.  The key of q1^e1 ... qm^em is sum_i e_i * 2^(64 i)
+(``ParameterSpace.pack``), one balanced 64-bit field per exponent, so a
+product's key is the sum of its factors' keys, the unit's key is 0, and with
+m = 1 the key is the exponent itself.  ``_field`` reads one coordinate, and a
+shift along q_v adds k << 64 v.  No carry between fields can pass silently:
+``pack`` refuses |e| >= 2^31, and ``**`` refuses a power that would reach that
+bound before computing it.  Products and sums only add exponents, the shifts
+of ``_reduce`` subtract them, ``_divide_by_binomial`` stays within three times
+its operands' range, and the GCD divides shifted operands, whose dense
+univariate lists are as long as their degrees.  So a field would reach 2^63
+only after more than 2^32 chained products.  Only printing (``_unpacked``),
+``as_monomial`` and ``_reduce``'s lead-term sign rule unpack a key.
+(PBW polynomials keep exponent-tuple keys.)  Coefficients have one canonical
+form: ``int`` when the coefficient is integral and ``Fraction`` otherwise,
+never ``float``.  Integer coefficients keep the inner loop of the product in
+machine-size int arithmetic; every division of coefficients goes through
+``Fraction``.
 """
 
 from __future__ import annotations
@@ -45,11 +58,21 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, sub
+from operator import add
 
-from .errors import DivisionByZero, NotAMonomial
+from .errors import DivisionByZero, ExponentOverflow, NotAMonomial
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_W = 64  # bits per exponent field of a packed key
+_MASK = (1 << _W) - 1
+_HALF = 1 << (_W - 1)
+_LIMIT = 1 << 31  # |exponent| bound of pack and **
+
+
+def _field(key, v):
+    """Exponent v of a packed key: rounding off the lower fields undoes their borrow."""
+    s = _W * v
+    return (((key + (_HALF << s) + (1 << s >> 1)) >> s) & _MASK) - _HALF
 
 
 @dataclass(frozen=True)
@@ -67,6 +90,7 @@ class ParameterSpace:
         for name in self.names:
             if not _NAME_RE.match(name):
                 raise ValueError(f"invalid parameter name {name!r}")
+        object.__setattr__(self, "_radix", tuple(1 << (_W * i) for i in range(len(self.names))))
 
     @property
     def m(self) -> int:
@@ -77,6 +101,20 @@ class ParameterSpace:
 
     def zero_exps(self) -> tuple[int, ...]:
         return (0,) * len(self.names)
+
+    def pack(self, exps) -> int:
+        """The int key sum_i e_i * 2^(64 i) of an exponent vector of length m."""
+        if len(exps) != len(self._radix):
+            raise ValueError("exponent tuple has wrong length")
+        key = 0
+        for e, r in zip(exps, self._radix):
+            if not -_LIMIT < e < _LIMIT:
+                raise ExponentOverflow(f"exponent {e} is out of range (|e| < 2^31)")
+            key += e * r
+        return key
+
+    def unpack(self, key) -> tuple[int, ...]:
+        return tuple(_field(key, v) for v in range(len(self._radix)))
 
 
 def _coeff(value):
@@ -93,11 +131,11 @@ def _div(a, b):
     return _coeff(Fraction(a, b))
 
 
-# -- sparse Laurent polynomial helpers (dict exponent-tuple -> coefficient) --
+# -- sparse Laurent polynomial helpers (dict packed key -> coefficient) --
 
 
 def _dict_clean(d):
-    return {tuple(e): _coeff(c) for e, c in d.items() if c != 0}
+    return {e: _coeff(c) for e, c in d.items() if c != 0}
 
 def _dict_add(a, b):
     out = dict(a)
@@ -116,7 +154,7 @@ def _dict_mul(a, b):
     out = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            e = tuple(map(add, ea, eb))
+            e = ea + eb
             s = out.get(e, 0) + ca * cb
             if s:
                 out[e] = s
@@ -124,32 +162,34 @@ def _dict_mul(a, b):
                 out.pop(e, None)
     return out
 
-def _divide_by_binomial(a, b):
+def _divide_by_binomial(a, b, m):
     """a / b for a two-term b by synthetic division, or None when inexact.
 
     With b = c1 X^e1 (1 - r X^d), r = -c2/c1 and d = e2 - e1, the quotient on
     each line f + t d of a / (c1 X^e1) obeys q_t = a_t + r q_(t-1), and the
     division is exact when the last q_t on every line is 0.  Coefficients stay
-    ints when c1 is +-1 and a and c2 are integral.
+    ints when c1 is +-1 and a and c2 are integral.  A line is found along the
+    coordinate i where |d_i| is largest, so its base point f - t d stays within
+    three times the operands' exponent range.
     """
     (e1, c1), (e2, c2) = b.items()
     unit = c1 in (1, -1)
     r = -c2 * c1 if unit else Fraction(-c2) / c1
-    d = tuple(map(sub, e2, e1))
-    i = next(i for i, x in enumerate(d) if x)
+    d = e2 - e1
+    i = max(range(m), key=lambda v: abs(_field(d, v)))
+    di = _field(d, i)
     lines = {}
     for e, c in a.items():
-        f = tuple(map(sub, e, e1))
-        t = f[i] // d[i]
-        base = tuple(x - t * y for x, y in zip(f, d))
-        lines.setdefault(base, {})[t] = c * c1 if unit else Fraction(c) / c1
+        f = e - e1
+        t = _field(f, i) // di
+        lines.setdefault(f - t * d, {})[t] = c * c1 if unit else Fraction(c) / c1
     out = {}
     for base, line in lines.items():
         q = 0
         for t in range(min(line), max(line) + 1):
             q = line.get(t, 0) + r * q
             if q:
-                out[tuple(x + t * y for x, y in zip(base, d))] = q
+                out[base + t * d] = q
         if q:
             return None
     return out
@@ -188,43 +228,41 @@ def _content(coeffs) -> Fraction:
     return Fraction(g, l)
 
 
-# -- polynomial gcd on exponent-dict polynomials (nonnegative exponents) --
+# -- polynomial gcd on packed-key polynomials (nonnegative exponents) --
 #
 # Runs over Z with primitive pseudo-remainder sequences; monic Euclid over Q
 # squares coefficient sizes at every step and stalls on moderate inputs.
 
 
 def _poly_vars(a, m):
-    return [i for i in range(m) if any(e[i] for e in a)]
-
-
-def _lead_key(e):
-    return (sum(e), e)
+    return [i for i in range(m) if any(_field(e, i) for e in a)]
 
 
 def _int_primitive(a):
-    # integer coefficients with content 1 and positive leading coefficient
+    # integer coefficients with content 1 and positive coefficient at the
+    # largest key (the gcd is only defined up to sign, and _reduce fixes it)
     if not a:
         return {}
     g = 0
     for c in a.values():
         g = gcd(g, abs(c))
-    if a[max(a, key=_lead_key)] < 0:
+    if a[max(a)] < 0:
         g = -g
     return {e: c // g for e, c in a.items()}
 
 
 def _lead_in_var(p, v):
-    d = max(e[v] for e in p)
-    return d, {e[:v] + (0,) + e[v + 1 :] : c for e, c in p.items() if e[v] == d}
+    d = max(_field(e, v) for e in p)
+    top = d << (_W * v)
+    return d, {e - top: c for e, c in p.items() if _field(e, v) == d}
 
 
-def _gcd_univar_int(a, b, var, m):
+def _gcd_univar_int(a, b, var):
     # primitive Euclid over Z on coefficient lists (low to high degree)
     def listify(p):
-        out = [0] * (max(e[var] for e in p) + 1)
+        out = [0] * (max(_field(e, var) for e in p) + 1)
         for e, c in p.items():
-            out[e[var]] = c
+            out[_field(e, var)] = c
         return out
 
     def primitive(f):
@@ -250,23 +288,16 @@ def _gcd_univar_int(a, b, var, m):
         f, g = g, r
     if f[-1] < 0:
         f = [-c for c in f]
-    zero = (0,) * m
-    out = {}
-    for i, c in enumerate(f):
-        if c:
-            e = list(zero)
-            e[var] = i
-            out[tuple(e)] = c
-    return out
+    return {i << (_W * var): c for i, c in enumerate(f) if c}
 
 
 def _pseudo_rem_int(f, g, v):
     dg, gl = _lead_in_var(g, v)
     r = dict(f)
-    while r and max(e[v] for e in r) >= dg:
+    while r and max(_field(e, v) for e in r) >= dg:
         dr, rl = _lead_in_var(r, v)
-        shift = dr - dg
-        shifted = {e[:v] + (e[v] + shift,) + e[v + 1 :] : c for e, c in g.items()}
+        shift = (dr - dg) << (_W * v)
+        shifted = {e + shift: c for e, c in g.items()}
         r = _dict_add(_dict_mul(gl, r), _dict_neg(_dict_mul(rl, shifted)))
         cont = 0
         for c in r.values():
@@ -291,8 +322,8 @@ def _poly_div_exact_int(a, g, m):
     while r:
         dr, rl = _lead_in_var(r, v)
         q = _poly_div_exact_int(rl, gl, m)
-        shift = dr - dg
-        qs = {e[:v] + (e[v] + shift,) + e[v + 1 :] : c for e, c in q.items()}
+        shift = (dr - dg) << (_W * v)
+        qs = {e + shift: c for e, c in q.items()}
         out = _dict_add(out, qs)
         r = _dict_add(r, _dict_neg(_dict_mul(qs, g)))
     return out
@@ -302,11 +333,12 @@ def _content_in_var_int(a, v, m):
     # gcd of the coefficient polynomials of a viewed in the variable v
     parts = {}
     for e, c in a.items():
-        parts.setdefault(e[v], {})[e[:v] + (0,) + e[v + 1 :]] = c
+        d = _field(e, v)
+        parts.setdefault(d, {})[e - (d << (_W * v))] = c
     g = {}
     for coeff in parts.values():
         g = _poly_gcd_int(g, coeff, m)
-        if len(g) == 1 and not any(next(iter(g))):
+        if len(g) == 1 and 0 in g:
             break
     return g
 
@@ -319,16 +351,11 @@ def _poly_gcd_int(a, b, m):
     va, vb = _poly_vars(a, m), _poly_vars(b, m)
     joint = sorted(set(va) | set(vb))
     if not joint:
-        return {(0,) * m: 1}
+        return {0: 1}
     if len(joint) == 1 and len(va) == 1 and len(vb) == 1:
-        return _gcd_univar_int(a, b, joint[0], m)
+        return _gcd_univar_int(a, b, joint[0])
     # main variable: smallest worst-case degree keeps the remainder chain short
-    v = min(
-        joint,
-        key=lambda i: max(
-            max((e[i] for e in a), default=0), max((e[i] for e in b), default=0)
-        ),
-    )
+    v = min(joint, key=lambda i: max(_field(e, i) for e in (*a, *b)))
     ca = _content_in_var_int(a, v, m)
     cb = _content_in_var_int(b, v, m)
     cont = _poly_gcd_int(ca, cb, m)
@@ -346,7 +373,9 @@ class LaurentFraction:
     """num/den with Laurent-polynomial numerator and denominator.
 
     Instances are immutable by convention (no mutating API), and ``num`` and
-    ``den`` hold canonical coefficients (int or Fraction).  When both operands
+    ``den`` map packed int keys (``ParameterSpace.pack``) to canonical
+    coefficients (int or Fraction).  The constructor takes dicts keyed by
+    exponent tuples of length m and packs them.  When both operands
     are Laurent polynomials (``is_laurent``), arithmetic skips reduction and
     ``__eq__`` compares numerators, which are unique for such values.
     Otherwise ``__eq__`` cross-multiplies.  ``__hash__`` is disabled because
@@ -356,36 +385,37 @@ class LaurentFraction:
     __slots__ = ("space", "num", "den")
 
     def __init__(self, space: ParameterSpace, num, den=None):
-        num = _dict_clean(num)
-        if den is None:
-            den = {space.zero_exps(): 1}
-        else:
-            den = _dict_clean(den)
-        if not den:
-            raise DivisionByZero("zero denominator")
-        object.__setattr__(self, "space", space)
+        pack = space.pack
+        num = {pack(e): c for e, c in num.items()}
+        den = {0: 1} if den is None else {pack(e): c for e, c in den.items()}
         n, d = self._reduce(space, num, den)
-        object.__setattr__(self, "num", n)
-        object.__setattr__(self, "den", d)
+        _set_space(self, space)
+        _set_num(self, n)
+        _set_den(self, d)
+
+    @classmethod
+    def _reduced(cls, space, num, den):
+        """The value num/den of packed-key dicts, cleaned and reduced by ``_reduce``."""
+        return cls._trusted(space, *cls._reduce(space, num, den))
 
     @classmethod
     def _trusted(cls, space, num, den):
-        """Build a value from a reduced num/den without ``_dict_clean`` or ``_reduce``.
+        """Build a value from a reduced packed num/den without ``_dict_clean`` or ``_reduce``.
 
-        Either ``den`` is the constant 1 and ``num`` is canonical or a
-        ``_dict_add``/``_dict_mul``/``_dict_neg``/``_divide_by_binomial``
+        Either ``den`` is the constant 1 (``{0: 1}``) and ``num`` is canonical
+        or a ``_dict_add``/``_dict_mul``/``_dict_neg``/``_divide_by_binomial``
         result of canonical dicts (zero-free, and integral only where Fraction
         arithmetic landed on an integer, which is turned back into an int
-        here), or num/den is the
-        negation of a reduced quotient.
+        here), or num/den is the negation of a reduced quotient.  The slots are
+        written by their cached setters, past the ``__setattr__`` guard.
         """
         for e, c in num.items():
             if type(c) is Fraction and c.denominator == 1:
                 num[e] = c.numerator
-        self = object.__new__(cls)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        self = _new(cls)
+        _set_space(self, space)
+        _set_num(self, num)
+        _set_den(self, den)
         return self
 
     def __setattr__(self, *args):
@@ -393,15 +423,18 @@ class LaurentFraction:
 
     @staticmethod
     def _reduce(space, num, den):
+        num, den = _dict_clean(num), _dict_clean(den)
+        if not den:
+            raise DivisionByZero("zero denominator")
         if not num:
-            return {}, {space.zero_exps(): 1}
+            return {}, {0: 1}
         if len(den) > 1:
             # shift to nonnegative exponents, then cancel the polynomial gcd
             pool = list(num.items()) + list(den.items())
-            mins = tuple(min(e[i] for e, _ in pool) for i in range(space.m))
-            if any(mins):
-                num = {tuple(x - y for x, y in zip(e, mins)): c for e, c in num.items()}
-                den = {tuple(x - y for x, y in zip(e, mins)): c for e, c in den.items()}
+            low = sum(min(_field(e, i) for e, _ in pool) << (_W * i) for i in range(space.m))
+            if low:
+                num = {e - low: c for e, c in num.items()}
+                den = {e - low: c for e, c in den.items()}
             if len(num) > 1 and len(num) * len(den) <= 4096:
                 # one common integer scale: by Gauss's lemma the primitive gcd
                 # divides both over Z, and the content step below drops the scale
@@ -415,8 +448,7 @@ class LaurentFraction:
         if len(den) == 1:
             # fold a monomial denominator into the numerator
             (de, dc), = den.items()
-            num = {tuple(x - y for x, y in zip(e, de)): _div(c, dc) for e, c in num.items()}
-            return num, {space.zero_exps(): 1}
+            return {e - de: _div(c, dc) for e, c in num.items()}, {0: 1}
         # joint content reduction; the shift above already zeroed the common
         # monomial, and dividing by the gcd cannot restore one
         cont = _content([*num.values(), *den.values()])
@@ -424,7 +456,7 @@ class LaurentFraction:
             num = {e: _div(c, cont) for e, c in num.items()}
             den = {e: _div(c, cont) for e, c in den.items()}
         # normalize the sign of the denominator's leading term
-        lead = max(den.items(), key=_term_sort_key)
+        lead = max(_unpacked(space, den).items(), key=_term_sort_key)
         if lead[1] < 0:
             num = _dict_neg(num)
             den = _dict_neg(den)
@@ -434,22 +466,22 @@ class LaurentFraction:
 
     @classmethod
     def zero(cls, space):
-        return cls._trusted(space, {}, {space.zero_exps(): 1})
+        return cls._trusted(space, {}, {0: 1})
 
     @classmethod
     def one(cls, space):
-        return cls.from_monomial(space, 1, space.zero_exps())
+        return cls._trusted(space, {0: 1}, {0: 1})
 
     @classmethod
     def from_rational(cls, space, value):
-        return cls.from_monomial(space, value, space.zero_exps())
+        coeff = _coeff(value)
+        return cls._trusted(space, {0: coeff} if coeff else {}, {0: 1})
 
     @classmethod
     def from_monomial(cls, space, coeff, exps):
+        key = space.pack(exps)
         coeff = _coeff(coeff)
-        if coeff == 0:
-            return cls.zero(space)
-        return cls._trusted(space, {tuple(exps): coeff}, {space.zero_exps(): 1})
+        return cls._trusted(space, {key: coeff} if coeff else {}, {0: 1})
 
     @classmethod
     def parameter(cls, space, name):
@@ -496,8 +528,8 @@ class LaurentFraction:
         if len(self.den) == 1 == len(other.den):
             return LaurentFraction._trusted(self.space, _dict_add(self.num, other.num), self.den)
         if self.den == other.den:
-            return LaurentFraction(self.space, _dict_add(self.num, other.num), dict(self.den))
-        return LaurentFraction(
+            return LaurentFraction._reduced(self.space, _dict_add(self.num, other.num), self.den)
+        return LaurentFraction._reduced(
             self.space,
             _dict_add(_dict_mul(self.num, other.den), _dict_mul(other.num, self.den)),
             _dict_mul(self.den, other.den),
@@ -530,7 +562,7 @@ class LaurentFraction:
             return self
         if len(self.den) == 1 == len(other.den):
             return LaurentFraction._trusted(self.space, _dict_mul(self.num, other.num), self.den)
-        return LaurentFraction(
+        return LaurentFraction._reduced(
             self.space, _dict_mul(self.num, other.num), _dict_mul(self.den, other.den)
         )
 
@@ -543,10 +575,10 @@ class LaurentFraction:
         if other.is_zero:
             raise DivisionByZero("division by zero scalar")
         if len(other.num) == 2 and self.is_laurent and other.is_laurent:
-            quotient = _divide_by_binomial(self.num, other.num)
+            quotient = _divide_by_binomial(self.num, other.num, self.space.m)
             if quotient is not None:
                 return LaurentFraction._trusted(self.space, quotient, self.den)
-        return LaurentFraction(
+        return LaurentFraction._reduced(
             self.space, _dict_mul(self.num, other.den), _dict_mul(self.den, other.num)
         )
 
@@ -563,7 +595,11 @@ class LaurentFraction:
             return self.inverse() ** (-k)
         if k == 0:
             return LaurentFraction.one(self.space)
-        return LaurentFraction(self.space, _dict_pow(self.num, k), _dict_pow(self.den, k))
+        keys = (*self.num, *self.den)
+        top = max((abs(_field(e, v)) for e in keys for v in range(self.space.m)), default=0)
+        if top * k >= _LIMIT:
+            raise ExponentOverflow(f"power {k} takes an exponent out of range (|e| < 2^31)")
+        return LaurentFraction._reduced(self.space, _dict_pow(self.num, k), _dict_pow(self.den, k))
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -586,8 +622,8 @@ class LaurentFraction:
         """
         if len(self.num) != 1 or not self.is_laurent:
             raise NotAMonomial(f"not a monomial: {self}")
-        (exps, c), = self.num.items()
-        return SignedMonomial(self.space, Fraction(c), exps)
+        (key, c), = self.num.items()
+        return SignedMonomial(self.space, Fraction(c), self.space.unpack(key))
 
     def as_rational(self) -> Fraction:
         if self.is_zero:
@@ -602,14 +638,25 @@ class LaurentFraction:
     def __str__(self):
         if self.is_zero:
             return "0"
-        num_s = _poly_str(self.space, self.num)
+        num_s = _poly_str(self.space, _unpacked(self.space, self.num))
         if self.is_laurent:
             return num_s
-        den_s = _poly_str(self.space, self.den)
+        den_s = _poly_str(self.space, _unpacked(self.space, self.den))
         return f"({num_s})/({den_s})"
 
     def __repr__(self):
         return f"<LaurentFraction {self}>"
+
+
+_new = object.__new__
+_set_space, _set_num, _set_den = (
+    getattr(LaurentFraction, name).__set__ for name in LaurentFraction.__slots__
+)
+
+
+def _unpacked(space, d):
+    """The exponent-tuple-keyed copy of a packed dict, for printing."""
+    return {space.unpack(e): c for e, c in d.items()}
 
 
 def _monomial_str(space, coeff, exps):
@@ -629,6 +676,7 @@ def _monomial_str(space, coeff, exps):
 
 
 def _poly_str(space, d):
+    # d is keyed by exponent tuples
     terms = sorted(d.items(), key=_term_sort_key, reverse=True)
     out = _monomial_str(space, terms[0][1], terms[0][0])
     for e, c in terms[1:]:

@@ -93,6 +93,21 @@ def test_validate_malformed_file_is_a_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_an_exponent_past_the_limit_in_file_text_is_a_parse_error(tmp_path, capsys):
+    data = json.loads(parse_preset_spec("quantum-affine:2").to_json())
+    data["lambda"][0][1] = "q^2147483648"
+    f = tmp_path / "big.json"
+    f.write_text(json.dumps(data))
+    for command in ("validate", "nakayama", "y-elements"):
+        assert main([command, str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: power 2147483648 takes an exponent out of range (|e| < 2^31)"
+            " (line 1, column 2)\n  q^2147483648\n   ^\n"
+        )
+
+
 def test_q_outside_its_subalgebra_names_1_based_indices(tmp_path, capsys):
     data = json.loads(parse_preset_spec("quantum-affine:3").to_json())
     data["Q"] = {"2,1": "x2"}

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from cglkit import scalars
-from cglkit.errors import DivisionByZero, NotAMonomial
+from cglkit.errors import DivisionByZero, ExponentOverflow, NotAMonomial, ParseError
 from cglkit.parsing import format_scalar, parse_scalar
 from cglkit.scalars import LaurentFraction, ParameterSpace, SignedMonomial
 
@@ -224,6 +224,15 @@ def _raw_add(a, b):
     return out
 
 
+def _num(x):
+    """x.num keyed by exponent tuples, through the unpacking helper of printing."""
+    return scalars._unpacked(x.space, x.num)
+
+
+def _den(x):
+    return scalars._unpacked(x.space, x.den)
+
+
 def _assert_canonical(x):
     for c in list(x.num.values()) + list(x.den.values()):
         assert type(c) in (int, Fraction), type(c)
@@ -260,21 +269,25 @@ def test_fast_path_matches_general_constructor():
             # monomial, unit and zero operands of *, in both operand orders
             mono = rand_monomial(rng, space)
             for x, y in ((mono, a), (a, mono), (mono, mono)):
-                want = LaurentFraction(space, _raw_mul(x.num, y.num), _raw_mul(x.den, y.den))
+                want = LaurentFraction(
+                    space, _raw_mul(_num(x), _num(y)), _raw_mul(_den(x), _den(y))
+                )
                 got = x * y
                 _assert_canonical(got)
                 assert (got.num, got.den) == (want.num, want.den)
-            cross = _raw_mul(a.den, b.den)
-            minus_a_den = {e: -c for e, c in a.den.items()}
+            cross = _raw_mul(_den(a), _den(b))
+            minus_a_den = {e: -c for e, c in _den(a).items()}
             expected = {
-                "a*b": LaurentFraction(space, _raw_mul(a.num, b.num), cross),
+                "a*b": LaurentFraction(space, _raw_mul(_num(a), _num(b)), cross),
                 "a+b": LaurentFraction(
-                    space, _raw_add(_raw_mul(a.num, b.den), _raw_mul(b.num, a.den)), cross
+                    space, _raw_add(_raw_mul(_num(a), _den(b)), _raw_mul(_num(b), _den(a))), cross
                 ),
                 "a-b": LaurentFraction(
-                    space, _raw_add(_raw_mul(a.num, b.den), _raw_mul(b.num, minus_a_den)), cross
+                    space,
+                    _raw_add(_raw_mul(_num(a), _den(b)), _raw_mul(_num(b), minus_a_den)),
+                    cross,
                 ),
-                "-a": LaurentFraction(space, {e: -c for e, c in a.num.items()}, a.den),
+                "-a": LaurentFraction(space, {e: -c for e, c in _num(a).items()}, _den(a)),
             }
             got = {"a*b": a * b, "a+b": a + b, "a-b": a - b, "-a": -a}
             for op, value in got.items():
@@ -284,17 +297,19 @@ def test_fast_path_matches_general_constructor():
             # comes back through the general constructor's GCD step
             m = rand_laurent(rng, space)
             if m.is_laurent and not m.is_zero:
-                same = LaurentFraction(space, _raw_mul(a.num, m.num), _raw_mul(a.den, m.num))
+                same = LaurentFraction(
+                    space, _raw_mul(_num(a), _num(m)), _raw_mul(_den(a), _num(m))
+                )
                 assert (same.num, same.den) == (a.num, a.den)
                 assert same == a
             for x, y in ((a, b), (b, a), (a, a)):
-                by_cross = _raw_mul(x.num, y.den) == _raw_mul(y.num, x.den)
+                by_cross = _raw_mul(_num(x), _den(y)) == _raw_mul(_num(y), _den(x))
                 assert (x == y) == by_cross
     # a monomial scaling Fraction coefficients onto integers gives ints
     two_q = LaurentFraction.from_monomial(SP, 2, (1,))
     halves = LaurentFraction(SP, {(0,): Fraction(1, 2), (2,): Fraction(-3, 2)})
     for product in (two_q * halves, halves * two_q):
-        assert product.num == {(1,): 1, (3,): -3}
+        assert _num(product) == {(1,): 1, (3,): -3}
         assert all(type(c) is int for c in product.num.values())
     # operands from different spaces still raise, whatever their shape
     lam = LaurentFraction.parameter(SP2, "lam")
@@ -309,11 +324,11 @@ def test_fast_path_matches_general_constructor():
 def test_coefficients_are_int_or_fraction():
     q = LaurentFraction.parameter(SP, "q")
     half = LaurentFraction.from_monomial(SP, Fraction(1, 2), (1,))
-    assert type((half + half).num[(1,)]) is int
-    assert type((half * 2).num[(1,)]) is int
-    assert type((half * q**-1).num[(0,)]) is Fraction
-    assert type(LaurentFraction(SP, {(0,): Fraction(4, 2)}).num[(0,)]) is int
-    assert type(((q**2 - 1) / (2 * q - 2)).num[(1,)]) is Fraction
+    assert type(_num(half + half)[(1,)]) is int
+    assert type(_num(half * 2)[(1,)]) is int
+    assert type(_num(half * q**-1)[(0,)]) is Fraction
+    assert type(_num(LaurentFraction(SP, {(0,): Fraction(4, 2)}))[(0,)]) is int
+    assert type(_num((q**2 - 1) / (2 * q - 2))[(1,)]) is Fraction
     with pytest.raises(TypeError):
         LaurentFraction.from_rational(SP, 0.5)
     with pytest.raises(TypeError):
@@ -333,7 +348,7 @@ def test_coefficients_are_int_or_fraction():
 def _unreduced_one(space):
     """A true quotient num/num past the 4096 GCD cap, so it stays unreduced."""
     q = LaurentFraction.parameter(space, space.names[0])
-    num = ((1 + q) ** 64).num
+    num = _num((1 + q) ** 64)
     assert len(num) * len(num) > 4096
     return LaurentFraction(space, num, num)
 
@@ -413,7 +428,7 @@ def test_inexact_division_by_a_binomial_matches_the_gcd_path():
             if not a.is_laurent:
                 continue
             got = a / b
-            reduced = LaurentFraction(space, a.num, b.num)
+            reduced = LaurentFraction(space, _num(a), _num(b))
             _assert_canonical(got)
             assert (got.num, got.den) == (reduced.num, reduced.den)
             assert str(got) == str(reduced)
@@ -429,8 +444,8 @@ def test_binomial_quotients_are_canonical():
     quotient = (half * q**2 - half) / (half * q - half)
     assert str(quotient) == "q + 1"
     assert all(type(c) is int for c in quotient.num.values())
-    assert type(((q**2 - 1) / (2 * q - 2)).num[(1,)]) is Fraction
-    assert ((q**3 + 1) / (q**-1 + 1)).num == {(3,): 1, (2,): -1, (1,): 1}
+    assert type(_num((q**2 - 1) / (2 * q - 2))[(1,)]) is Fraction
+    assert _num((q**3 + 1) / (q**-1 + 1)) == {(3,): 1, (2,): -1, (1,): 1}
     lam = LaurentFraction.parameter(SP2, "lam")
     p = LaurentFraction.parameter(SP2, "p12")
     assert str((lam**2 * p**-1 - p) / (lam * p**-1 - 1)) == "lam + p12"
@@ -450,3 +465,129 @@ def test_exact_binomial_division_past_the_gcd_cap_is_laurent():
     assert (quotient.num, quotient.den) == (a.num, a.den)
     # an inexact division of the same size still takes the general path
     assert not (product / (q - 2)).is_laurent
+
+
+# -- packed exponent keys --
+
+
+def _space(m):
+    return ParameterSpace(tuple(f"q{i}" for i in range(m)))
+
+
+def _clean(d):
+    return {e: c for e, c in d.items() if c}
+
+
+def test_wrong_length_exponents_raise():
+    for call in (
+        lambda: LaurentFraction.from_monomial(SP, 1, (1, 2)),
+        lambda: LaurentFraction.from_monomial(SP2, 0, (1,)),
+        lambda: LaurentFraction(SP, {(1, 2): 3}),
+        lambda: LaurentFraction(SP2, {(0, 0): 1}, {(1,): 1}),
+    ):
+        with pytest.raises(ValueError, match="exponent tuple has wrong length"):
+            call()
+
+
+def test_keys_for_one_and_no_parameter_are_trivial():
+    assert SP.pack((5,)) == 5 and SP.pack((-3,)) == -3 and SP.unpack(-3) == (-3,)
+    empty = _space(0)
+    assert empty.pack(()) == 0 and empty.unpack(0) == ()
+    assert LaurentFraction.one(SP2).num == {0: 1}
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 16])
+def test_exponents_at_the_field_limit_round_trip_or_raise(m):
+    space = _space(m)
+    top = 2**31 - 1
+    rng = random.Random(20261021 + m)
+    vectors = [(top,) * m, (-top,) * m, tuple(top if i % 2 else -top for i in range(m))]
+    vectors += [tuple(rng.choice((top, -top, 0, 1, -1)) for _ in range(m)) for _ in range(20)]
+    for exps in vectors:
+        assert space.unpack(space.pack(exps)) == exps
+        assert all(scalars._field(space.pack(exps), v) == e for v, e in enumerate(exps))
+        assert LaurentFraction.from_monomial(space, -2, exps).as_monomial().exps == exps
+    for bad in (2**31, -(2**31)):
+        for v in range(m):
+            exps = [0] * m
+            exps[v] = bad
+            with pytest.raises(ExponentOverflow):
+                space.pack(exps)
+            with pytest.raises(ExponentOverflow):
+                LaurentFraction.from_monomial(space, 1, exps)
+
+
+def test_parse_scalar_refuses_an_exponent_past_the_limit():
+    assert parse_scalar("q^2147483647", SP).as_monomial().exps == (2**31 - 1,)
+    assert parse_scalar("q^-2147483647", SP).as_monomial().exps == (-(2**31) + 1,)
+    for text in ("q^2147483648", "q^-2147483648", "(q^2)^1073741824", "(q + 1)^4294967296"):
+        with pytest.raises(ParseError):
+            parse_scalar(text, SP)
+
+
+def test_a_power_past_the_limit_raises_before_it_is_computed(monkeypatch):
+    q = LaurentFraction.parameter(SP, "q")
+    lam = LaurentFraction.parameter(SP2, "lam")
+    p = LaurentFraction.parameter(SP2, "p12")
+    cases = [
+        (q, 2**31),
+        (q, -(2**31)),
+        (q**3, 2**30),
+        ((q + 1) / (q**-2 - 1), 2**30),
+        (lam * p**-5, 2**31 // 5 + 1),
+    ]
+
+    def no_pow(*args):
+        raise AssertionError("the power was computed")
+
+    monkeypatch.setattr(scalars, "_dict_pow", no_pow)
+    for base, k in cases:
+        with pytest.raises(ExponentOverflow):
+            base**k
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 7, 16])
+def test_packed_arithmetic_matches_the_tuple_reference(m):
+    space = _space(m)
+    rng = random.Random(20261022 + m)
+    coeffs = [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]
+
+    def rand_exps():
+        # at most three parameters per term keep the multivariate GCD small
+        exps = [0] * m
+        for v in rng.sample(range(m), min(m, 3)):
+            exps[v] = rng.randint(-2, 2)
+        return tuple(exps)
+
+    def rand_terms(low, high):
+        return {rand_exps(): rng.choice(coeffs) for _ in range(rng.randint(low, high))}
+
+    exact = quotients = 0
+    for _ in range(40):
+        a_t, b_t = rand_terms(0, 3), rand_terms(0, 3)
+        a, b = LaurentFraction(space, a_t), LaurentFraction(space, b_t)
+        assert _num(a) == _clean(a_t) and _den(a) == {(0,) * m: 1}
+        assert _num(a * b) == _clean(_raw_mul(a_t, b_t))
+        assert _num(a + b) == _clean(_raw_add(a_t, b_t))
+        assert (a == b) == (_clean(a_t) == _clean(b_t))
+        assert a == LaurentFraction(space, dict(reversed(list(a_t.items()))))
+        if m:
+            # division by a binomial c: exact on a*c, and a/c against cross-multiplication
+            c_t = rand_terms(2, 2)
+            while len(c_t) < 2:
+                c_t = rand_terms(2, 2)
+            c = LaurentFraction(space, c_t)
+            quotient = LaurentFraction(space, _raw_mul(a_t, c_t)) / c
+            assert quotient.is_laurent and _num(quotient) == _clean(a_t)
+            exact += not a.is_zero
+            inexact = a / c
+            assert _clean(_raw_mul(_num(inexact), c_t)) == _clean(_raw_mul(a_t, _den(inexact)))
+        # a quotient whose common factor the GCD cancels
+        g_t = rand_terms(2, 3)
+        if not b.is_zero and len(_clean(g_t)) > 1:
+            value = LaurentFraction(space, _raw_mul(a_t, g_t), _raw_mul(b_t, g_t))
+            assert _clean(_raw_mul(_num(value), b_t)) == _clean(_raw_mul(a_t, _den(value)))
+            assert (value.num, value.den) == ((a / b).num, (a / b).den)
+            quotients += not value.is_laurent
+    assert quotients > 0 or m == 0
+    assert exact > 0 or m == 0
