@@ -85,6 +85,10 @@ def _cases():
         path = INPUTS / f"{_slug('preset', preset)}.json"
         for command in ["validate", "y-elements"]:
             cases.append((_slug(command, "file", preset), [command, path]))
+    # the file of oq-matrices:3,3 with its Q keys listed in reverse, so that
+    # the core is built from Q-data that is not in sorted (k, j) order
+    argv = ["core", INPUTS / f"{_slug('preset', 'oq-matrices:3,3-Q-reversed')}.json"]
+    cases.append((_slug("core", "file", "oq-matrices:3,3-Q-reversed"), argv))
     # oq-matrices:2,2 with a diagonal lambda entry, a lower lambda entry, a Q
     # term and an h* entry changed, so that most checks report failures
     broken = "oq-matrices:2,2-broken"
