@@ -218,7 +218,7 @@ def cmd_audit_endo(P, args):
     with open(args.endo, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise MalformedPresentation(f"{args.endo}: {exc}") from exc
     try:
         e = EndomorphismSpec.from_json_dict(data, P)

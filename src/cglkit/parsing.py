@@ -55,17 +55,23 @@ def tokenize(src):
     return tokens
 
 
+_MAX_NESTING = 100  # parentheses and unary signs open at once
+
+
 class _Parser:
     """Recursive descent over either scalar or polynomial values.
 
     The value type is decided by the subclassing hooks; precedence is
-    unary minus < +,- < *,/ and juxtaposition < ^.
+    unary minus < +,- < *,/ and juxtaposition < ^.  At most ``_MAX_NESTING``
+    parentheses and unary signs may be open at once, so whether a text
+    parses does not depend on the caller's stack depth.
     """
 
     def __init__(self, src):
         self.src = src
         self.tokens = tokenize(src)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -83,6 +89,15 @@ class _Parser:
 
     def fail(self, message, tok):
         raise ParseError(message, self.src, tok.pos)
+
+    def nested(self, tok, parse):
+        """parse() one level deeper, opened by tok."""
+        if self.depth == _MAX_NESTING:
+            self.fail("expression nested too deeply", tok)
+        self.depth += 1
+        value = parse()
+        self.depth -= 1
+        return value
 
     def parse(self):
         value = self.expr()
@@ -123,12 +138,10 @@ class _Parser:
 
     def factor(self):
         tok = self.peek()
-        if tok.kind == "OP" and tok.text == "-":
+        if tok.kind == "OP" and tok.text in "+-":
             self.next()
-            return -self.factor()
-        if tok.kind == "OP" and tok.text == "+":
-            self.next()
-            return self.factor()
+            value = self.nested(tok, self.factor)
+            return -value if tok.text == "-" else value
         return self.powered()
 
     def powered(self):
@@ -160,7 +173,7 @@ class _Parser:
         if tok.kind == "NAME":
             return self.name(tok)
         if tok.kind == "OP" and tok.text == "(":
-            value = self.expr()
+            value = self.nested(tok, self.expr)
             self.expect_op(")")
             return value
         self.fail("expected a number, name or parenthesized expression", tok)

@@ -262,13 +262,15 @@ def normalize_words(P, items, order_positions=None, strategy="leftmost", fuel=No
     ``items`` is a list of (LaurentFraction, list-of-letters) pairs; letters
     are 0-based generator indices of P.  ``order_positions`` maps each letter
     to its position in the target generator order (None = natural order); the
-    returned polynomial's exponent slots are indexed by target position.
+    returned polynomial's exponent slots are indexed by target position, so it
+    has len(order_positions) of them, or P.N without order_positions.
     Rewrites use P's pair data, extended to out-of-natural-order pairs via
     Qhat_{uv} = -lambda_{uv} Q_{vu} for u < v.
     """
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
     pos = order_positions
+    n = P.N if pos is None else len(pos)
     out = {}
     stack = [(c, list(w)) for c, w in items]
     if fuel is None:
@@ -281,7 +283,7 @@ def normalize_words(P, items, order_positions=None, strategy="leftmost", fuel=No
         coeff, word = stack.pop()
         idx = _find_descent(word, pos, strategy)
         if idx is None:
-            _add_term(out, monomial_of_word(word, P.N, pos), coeff)
+            _add_term(out, monomial_of_word(word, n, pos), coeff)
             continue
         fuel -= 1
         if fuel < 0:
@@ -296,7 +298,7 @@ def normalize_words(P, items, order_positions=None, strategy="leftmost", fuel=No
             head, tail = word[:idx], word[idx + 2 :]
             for mono, c in qhat.terms.items():
                 stack.append((coeff * c, head + word_of_monomial(mono) + tail))
-    return PBWPolynomial._trusted(P.space, P.N, out)
+    return PBWPolynomial._trusted(P.space, n, out)
 
 
 def _find_descent(word, pos, strategy):
@@ -352,10 +354,8 @@ def multiply(p, r, P, strategy="leftmost"):
                 except RecursionError:
                     pass
             if prod is None:
-                degs = P.generator_degrees()
-                fuel = _fuel_budget(P, _monomial_weight(degs, m1) + _monomial_weight(degs, m2))
                 word = word_of_monomial(m1) + word_of_monomial(m2)
-                prod = normalize_words(P, [(P.unit, word)], strategy=strategy, fuel=fuel)
+                prod = normalize_words(P, [(P.unit, word)], strategy=strategy)
                 prod, high = prod.terms.items(), zero
             scalar = c1 * c2
             if high is zero:
@@ -581,20 +581,16 @@ def apply_endomorphism(images, p, P):
     if len(images) != P.N:
         raise ValueError("need exactly one image per generator")
     out = {}
-    pow_cache = {}
+    powers = {}  # i -> [images[i], images[i]^2, ...], each power one product
     for mono, coeff in p.terms.items():
         factor = PBWPolynomial.constant(P.space, P.N, coeff)
         for i, e in enumerate(mono):
             if not e:
                 continue
-            key = (i, e)
-            if key not in pow_cache:
-                prev = pow_cache.get((i, e - 1))
-                if prev is not None:
-                    pow_cache[key] = multiply(prev, images[i], P)
-                else:
-                    pow_cache[key] = power(images[i], e, P)
-            factor = multiply(factor, pow_cache[key], P)
+            row = powers.setdefault(i, [images[i]])
+            while len(row) < e:
+                row.append(multiply(row[-1], images[i], P))
+            factor = multiply(factor, row[e - 1], P)
         for m, c in factor.terms.items():
             _add_term(out, m, c)
     return PBWPolynomial(P.space, P.N, out)

@@ -107,6 +107,7 @@ class CGLPresentation:
             self.Q[(k, j)] = poly
         self._qhat = {}
         self.pair_cache = {}
+        self._y_table = None  # compute_y_elements caches its table here
 
     # -- construction helpers --
 
@@ -246,12 +247,7 @@ class CGLPresentation:
     # -- JSON --
 
     def to_json_dict(self):
-        from .parsing import format_poly
-
-        degrees = self.generator_degrees()
-        q_obj = {}
-        for (k, j) in sorted(self.Q):
-            q_obj[f"{k + 1},{j + 1}"] = format_poly(self.Q[(k, j)], degrees=degrees)
+        q_obj = {f"{k + 1},{j + 1}": self.format(self.Q[(k, j)]) for (k, j) in sorted(self.Q)}
         torus_obj = {
             "rank": self.torus.rank,
             "chi": [list(row) for row in self.torus.chi],
@@ -349,7 +345,7 @@ class CGLPresentation:
     def from_json(cls, text, fuel_factor=8):
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise MalformedPresentation(f"invalid JSON: {exc}") from exc
         return cls.from_json_dict(data, fuel_factor=fuel_factor)
 
@@ -605,15 +601,16 @@ def sample_interval_permutation(N, rng):
 def _reorder(P: CGLPresentation, tau, h, h_star, name) -> CGLPresentation:
     """The algebra of P presented on x_{tau(0)}, x_{tau(1)}, ...
 
-    lambda and chi are permuted; Q-data is recomputed by normalizing
-    Qhat_{tau(a) tau(b)} into the new generator order.  Rewriting uses only
-    P's own pair data (via qhat), so no permuted data is needed.  The caller
-    supplies the covering families h and h_star in the new order.
+    tau lists distinct generators of P: a permutation of all of them, or an
+    increasing subset on whose letters every Q_{kj} with k and j in tau lies,
+    as for the core.  lambda and chi are restricted to tau and permuted;
+    Q-data is recomputed by normalizing Qhat_{tau(a) tau(b)} into the new
+    generator order.  Rewriting uses only P's own pair data (via qhat), so no
+    permuted data is needed.  The caller supplies the covering families h and
+    h_star in the new order.
     """
-    N = P.N
-    positions = [0] * N
-    for a, g in enumerate(tau):
-        positions[g] = a
+    N = len(tau)
+    positions = {g: a for a, g in enumerate(tau)}
     lower = {(a, b): P.lam[tau[a]][tau[b]] for a in range(N) for b in range(a)}
     torus = TorusData(
         rank=P.torus.rank,

@@ -82,16 +82,9 @@ class YElementTable:
         return self.eta_data.finals()
 
     def to_json_dict(self, P):
-        from .parsing import format_poly
-
-        degrees = P.generator_degrees()
-        names = [f"x{i + 1}" for i in range(P.N)]
         return {
-            "y": [format_poly(p, names=names, degrees=degrees) for p in self.y],
-            "c": {
-                str(k + 1): format_poly(p, names=names, degrees=degrees)
-                for k, p in sorted(self.c.items())
-            },
+            "y": [P.format(p) for p in self.y],
+            "c": {str(k + 1): P.format(p) for k, p in sorted(self.c.items())},
             "eta_data": self.eta_data.to_json_dict(),
             "alpha": [[str(v) for v in row] for row in self.alpha],
             "qmat": [[str(v) for v in row] for row in self.qmat],
@@ -241,12 +234,12 @@ def _solve_predecessor(P, y_j, chain_j, k, target_chi, ledger):
 def compute_y_elements(P) -> YElementTable:
     """Run the y-element recursion and assemble the full table.
 
-    The result is cached on the presentation; presentations are treated as
-    immutable after construction.
+    The result is cached on the presentation until ``_set_Q`` replaces its
+    Q-data; presentations are otherwise treated as immutable after
+    construction.
     """
-    cached = getattr(P, "_y_table", None)
-    if cached is not None:
-        return cached
+    if P._y_table is not None:
+        return P._y_table
     if P.generator_degrees() is None:
         raise NoGradingDefined("the y-element search needs the positive grading pi")
     N = P.N

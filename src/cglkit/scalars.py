@@ -217,15 +217,7 @@ def _term_sort_key(item):
 
 def _content(coeffs) -> Fraction:
     # gcd of numerators over lcm of denominators; positive by construction
-    nums = [abs(c.numerator) for c in coeffs]
-    dens = [c.denominator for c in coeffs]
-    g = 0
-    for n in nums:
-        g = gcd(g, n)
-    l = 1
-    for d in dens:
-        l = lcm(l, d)
-    return Fraction(g, l)
+    return Fraction(gcd(*(c.numerator for c in coeffs)), lcm(*(c.denominator for c in coeffs)))
 
 
 # -- polynomial gcd on packed-key polynomials (nonnegative exponents) --
@@ -243,9 +235,7 @@ def _int_primitive(a):
     # largest key (the gcd is only defined up to sign, and _reduce fixes it)
     if not a:
         return {}
-    g = 0
-    for c in a.values():
-        g = gcd(g, abs(c))
+    g = gcd(*a.values())
     if a[max(a)] < 0:
         g = -g
     return {e: c // g for e, c in a.items()}
@@ -266,9 +256,7 @@ def _gcd_univar_int(a, b, var):
         return out
 
     def primitive(f):
-        g = 0
-        for c in f:
-            g = gcd(g, abs(c))
+        g = gcd(*f)
         return [c // g for c in f]
 
     f, g = primitive(listify(a)), primitive(listify(b))
@@ -299,9 +287,7 @@ def _pseudo_rem_int(f, g, v):
         shift = (dr - dg) << (_W * v)
         shifted = {e + shift: c for e, c in g.items()}
         r = _dict_add(_dict_mul(gl, r), _dict_neg(_dict_mul(rl, shifted)))
-        cont = 0
-        for c in r.values():
-            cont = gcd(cont, abs(c))
+        cont = gcd(*r.values())
         if cont > 1:
             r = {e: c // cont for e, c in r.items()}
     return r

@@ -8,7 +8,7 @@ from math import prod
 from .errors import InternalInconsistency, MissingHStar
 from .lattice import row_space_basis
 from .pbw import PBWPolynomial, _scale_diagonally
-from .presentation import CGLPresentation, TorusData, _require_reversible, validate_symmetric
+from .presentation import CGLPresentation, _reorder, _require_reversible, validate_symmetric
 from .primes import YElementTable, _failing_normality, compute_P_x
 from .reporting import ValidationReport
 from .scalars import SignedMonomial, _power_product
@@ -118,7 +118,7 @@ def verify_nakayama_by_normal_element(
     finals = T.finals()
     one = SignedMonomial.one(P.space)
     betas = [prod((T.alpha[k][l] for l in finals), start=one) for k in range(P.N)]
-    ledger = T._ledger if getattr(P, "_y_table", None) is T else {}
+    ledger = T._ledger if P._y_table is T else {}
     factored = [k for k in range(P.N) if betas[k] == nu.eigenvalues[k]]
     for l in finals:
         facts = [ledger.get((k, l), (None, None)) for k in factored]
@@ -178,7 +178,9 @@ def core_decomposition(P: CGLPresentation, T: YElementTable) -> CoreDecompositio
 
     F_x collects the prime generators that are absent from every Q_{kj} with
     both endpoints outside P_x; the core is the restriction to the
-    complement, which by construction contains all such Q-data.
+    complement, which by construction contains all such Q-data.  It is P
+    reordered onto the increasing list C_x, with the h- and h*-families of
+    its generators.
     """
     if P.torus.h_star is None:
         raise MissingHStar("the core decomposition applies to symmetric presentations")
@@ -196,41 +198,15 @@ def core_decomposition(P: CGLPresentation, T: YElementTable) -> CoreDecompositio
     ]
     f_lookup = set(f_set)
     c_set = [i for i in range(P.N) if i not in f_lookup]
-    pos = {g: a for a, g in enumerate(c_set)}
-    n_core = len(c_set)
-    lower = {
-        (a, b): P.lam[c_set[a]][c_set[b]] for a in range(n_core) for b in range(a)
-    }
-    Q = {}
     for (k, j), poly in P.Q.items():
-        if k in pos and j in pos:
-            if any(i not in pos for i in poly.support()):
-                raise InternalInconsistency(
-                    f"Q[{k + 1},{j + 1}] leaks outside the core generators"
-                )
-            terms = {}
-            for mono, coeff in poly.terms.items():
-                new = [0] * n_core
-                for i, e in enumerate(mono):
-                    if e:
-                        new[pos[i]] = e
-                terms[tuple(new)] = coeff
-            Q[(pos[k], pos[j])] = PBWPolynomial(P.space, n_core, terms)
-    torus = TorusData(
-        rank=P.torus.rank,
-        chi=[P.torus.chi[g] for g in c_set],
-        h=[P.torus.h[g] for g in c_set],
-        h_star=[P.torus.h_star[g] for g in c_set],
-        pi=P.torus.pi,
-    )
-    core = CGLPresentation.build(
-        P.space,
-        n_core,
-        lower,
-        Q,
-        torus,
-        name=f"{P.name}|core" if P.name else None,
-        fuel_factor=P.fuel_factor,
+        if k not in f_lookup and j not in f_lookup and poly.support() & f_lookup:
+            raise InternalInconsistency(f"Q[{k + 1},{j + 1}] leaks outside the core generators")
+    core = _reorder(
+        P,
+        c_set,
+        [P.torus.h[g] for g in c_set],
+        [P.torus.h_star[g] for g in c_set],
+        f"{P.name}|core" if P.name else None,
     )
     core_report = validate_symmetric(core)
     frame = [[P.lam[i][j] for j in f_set] for i in f_set]

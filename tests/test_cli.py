@@ -108,6 +108,42 @@ def test_an_exponent_past_the_limit_in_file_text_is_a_parse_error(tmp_path, caps
         )
 
 
+def assert_usage_error(argv, capsys, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert "Traceback" not in captured.err
+
+
+NESTED_TOO_DEEPLY = "expression nested too deeply (line 1, column 101)"
+
+
+def test_a_lambda_entry_nested_too_deeply_is_a_parse_error(tmp_path, capsys):
+    data = json.loads(parse_preset_spec("quantum-affine:3").to_json())
+    data["lambda"][1][0] = "(" * 400 + "q" + ")" * 400
+    f = tmp_path / "deep.json"
+    f.write_text(json.dumps(data))
+    assert_usage_error(["validate", str(f)], capsys, NESTED_TOO_DEEPLY)
+
+
+def test_an_image_nested_too_deeply_is_a_parse_error(tmp_path, capsys):
+    endo = write_endo(tmp_path, ["-(" * 400 + "x1" + ")" * 400, "x2", "x3"])
+    argv = ["audit-endo", endo, "--preset", "quantum-affine:3"]
+    assert_usage_error(argv, capsys, NESTED_TOO_DEEPLY)
+
+
+@pytest.mark.parametrize("command", ["validate", "audit-endo"])
+def test_json_nested_too_deeply_is_malformed(command, tmp_path, capsys):
+    f = tmp_path / "deep.json"
+    f.write_text("[" * 100_000 + "]" * 100_000)
+    if command == "validate":
+        assert_usage_error(["validate", str(f)], capsys, "invalid JSON: ")
+    else:
+        argv = ["audit-endo", str(f), "--preset", "quantum-affine:3"]
+        assert_usage_error(argv, capsys, f"{f}: ")
+
+
 def test_q_outside_its_subalgebra_names_1_based_indices(tmp_path, capsys):
     data = json.loads(parse_preset_spec("quantum-affine:3").to_json())
     data["Q"] = {"2,1": "x2"}

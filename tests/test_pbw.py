@@ -458,6 +458,41 @@ def test_apply_endomorphism_substitutes_in_order():
     assert out2 == (P.x(0) + P.x(1)).scale(q)
 
 
+def test_apply_endomorphism_builds_each_power_once(monkeypatch):
+    """On oq-matrices:2,2 with x1 -> x1 + x2, p = x1^3 + x1^2 x2 + x1 needs
+    the powers (x1 + x2)^2 and (x1 + x2)^3 once each, 2 products, and one
+    product per factor of each term, 4 more; rebuilding a power from scratch
+    whenever the one below it was not yet made took 11."""
+    P = parse_preset_spec("oq-matrices:2,2")
+    images = [P.x(0) + P.x(1), P.x(1), P.x(2), P.x(3)]
+    p = PBWPolynomial(P.space, P.N, {(3, 0, 0, 0): 1, (2, 1, 0, 0): 1, (1, 0, 0, 0): 1})
+    expected = PBWPolynomial.zero(P.space, P.N)
+    for mono, coeff in p.terms.items():
+        factor = PBWPolynomial.constant(P.space, P.N, coeff)
+        for i, e in enumerate(mono):
+            factor = multiply(factor, pbw.power(images[i], e, P), P)
+        expected = expected + factor
+    calls = []
+
+    def counting(p, r, P, strategy="leftmost"):
+        calls.append(1)
+        return multiply(p, r, P, strategy)
+
+    monkeypatch.setattr(pbw, "multiply", counting)
+    out = apply_endomorphism(images, p, P)
+    assert len(calls) == 6
+    assert out == expected
+    assert P.format(out) == P.format(expected)
+
+
+def test_parentheses_nested_up_to_the_bound_parse():
+    P = parse_preset_spec("oq-matrices:2,2")
+    assert P.parse("(" * 100 + "x1" + ")" * 100) == P.x(0)
+    assert P.parse("-(" * 50 + "x2 x3" + ")" * 50) == P.mul(P.x(1), P.x(2))
+    with pytest.raises(ParseError, match="^expression nested too deeply"):
+        P.parse("(" * 101 + "x1" + ")" * 101)
+
+
 def test_supported_below():
     P = parse_preset_spec("oq-matrices:2,2")
     assert pbw.supported_below(P.mul(P.x(1), P.x(2)), 3)

@@ -525,6 +525,21 @@ def test_parse_scalar_refuses_an_exponent_past_the_limit():
             parse_scalar(text, SP)
 
 
+def test_nesting_up_to_the_bound_parses_and_one_more_level_is_refused():
+    """100 parentheses and unary signs may be open at once, in any mix."""
+    q = LaurentFraction.parameter(SP, "q")
+    assert parse_scalar("(" * 100 + "q" + ")" * 100, SP) == q
+    assert parse_scalar("-" * 100 + "q", SP) == q
+    assert parse_scalar("-(" * 50 + "q" + ")" * 50, SP) == q
+    assert parse_scalar("+" * 99 + "-q", SP) == -q
+    # 100 levels in sequence are no deeper than one
+    assert parse_scalar("+".join(["(" * 100 + "q" + ")" * 100] * 3), SP) == q * 3
+    for text in ("(" * 101 + "q" + ")" * 101, "-" * 101 + "q", "-(" * 50 + "-q" + ")" * 50):
+        with pytest.raises(ParseError, match="^expression nested too deeply") as info:
+            parse_scalar(text, SP)
+        assert info.value.col == 101
+
+
 def test_a_power_past_the_limit_raises_before_it_is_computed(monkeypatch):
     q = LaurentFraction.parameter(SP, "q")
     lam = LaurentFraction.parameter(SP2, "lam")

@@ -4,9 +4,12 @@ import dataclasses
 from fractions import Fraction
 from math import prod
 
+from pathlib import Path
+
 import pytest
 
-from cglkit.errors import NotReversible
+from cglkit import structure
+from cglkit.errors import InternalInconsistency, NotReversible
 from cglkit.pbw import PBWPolynomial
 from cglkit.presentation import (
     CGLPresentation,
@@ -27,6 +30,11 @@ from cglkit.structure import (
     verify_nakayama_by_normal_element,
 )
 
+# oq-matrices:3,3 as written by `preset emit`, with its Q keys in reverse
+Q_REVERSED_OQ33 = (
+    Path(__file__).resolve().parent / "data" / "frozen" / "inputs"
+    / "preset_oq-matrices_3-3-Q-reversed.json"
+)
 SYMMETRIC_PRESETS = [
     "quantum-affine:2",
     "quantum-affine:3",
@@ -274,6 +282,23 @@ def test_table_of_a_second_presentation_gets_every_product(spec, monkeypatch):
     )
 
 
+def test_set_q_drops_the_cached_table_and_its_ledger(monkeypatch):
+    """``_set_Q`` empties the caches that depend on Q, the y-element table
+    among them.  The certificate then reads none of the old table's ledger:
+    on oq-matrices:3,4 every factor identity is multiplied out, 2 N r = 144
+    products against 6 with the ledger (see
+    test_nakayama_certificate_never_builds_u_when_every_factor_holds)."""
+    P = parse_preset_spec("oq-matrices:3,4")
+    T = compute_y_elements(P)
+    nu = nakayama_automorphism(P)
+    P._set_Q(P.Q)
+    calls = counted_products(monkeypatch, P)
+    assert verify_nakayama_by_normal_element(P, T, nu).passed
+    assert len(calls) == 2 * P.N * len(T.finals()) == 144
+    monkeypatch.undo()
+    assert compute_y_elements(P) is not T
+
+
 def test_certificate_rejects_inputs_of_the_wrong_length():
     P = parse_preset_spec("oq-matrices:2,2")
     T = compute_y_elements(P)
@@ -405,6 +430,23 @@ def test_core_decomposition_with_a_proper_frame():
     assert D.smash_scalars == {(0, k): one for k in [1, 2, 3, 4]}
     nu = nakayama_automorphism(P)
     assert [str(v) for v in nu.eigenvalues] == ["1", "q^2", "1", "1", "q^-2"]
+
+
+@pytest.mark.parametrize("Q_order, pair", [("sorted", "6,2"), ("reversed", "8,4")])
+def test_q_leaking_out_of_the_core_is_named_in_q_order(Q_order, pair, monkeypatch):
+    """With P_x forced to {2, 4, 5} on oq-matrices:3,3, F_x = {5}, and both
+    Q_62 = -(q - q^-1) x3 x5 and Q_84 = -(q - q^-1) x5 x7 have their
+    endpoints in the core but reach x5; the first of them in the order of
+    P.Q is named, also when the file lists the Q keys in reverse."""
+    if Q_order == "sorted":
+        P = parse_preset_spec("oq-matrices:3,3")
+    else:
+        P = CGLPresentation.from_json(Q_REVERSED_OQ33.read_text(encoding="utf-8"))
+    T = compute_y_elements(P)
+    monkeypatch.setattr(structure, "compute_P_x", lambda P, T: [1, 3, 4])
+    message = f"^Q\\[{pair}\\] leaks outside the core generators$"
+    with pytest.raises(InternalInconsistency, match=message):
+        core_decomposition(P, T)
 
 
 def test_nakayama_lies_in_the_diagonal_torus():
