@@ -3,7 +3,6 @@
 import dataclasses
 from fractions import Fraction
 from math import prod
-
 from pathlib import Path
 
 import pytest
