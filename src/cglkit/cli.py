@@ -103,19 +103,26 @@ def build_parser():
 
 
 def _load_presentation(args, parser):
-    if getattr(args, "preset", None) and getattr(args, "input", None):
+    if args.preset and args.input:
         parser.error("give either an input file or --preset, not both")
-    if getattr(args, "preset", None):
+    if args.preset:
         P = preset_catalog.parse_preset_spec(args.preset)
-        if args.fuel is not None:
-            P.fuel_factor = args.fuel
-        return P
-    if getattr(args, "input", None):
-        with open(args.input, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        fuel = args.fuel if args.fuel is not None else 8
-        return CGLPresentation.from_json(text, fuel_factor=fuel)
-    parser.error("an input file or --preset is required")
+    elif args.input:
+        P = CGLPresentation.from_json(_read_text(args.input))
+    else:
+        parser.error("an input file or --preset is required")
+    if args.fuel is not None:
+        P.fuel_factor = args.fuel
+    return P
+
+
+def _read_text(path):
+    """The text of a UTF-8 file; any other bytes make it malformed input."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise MalformedPresentation(f"{path}: {exc}") from exc
 
 
 def _set_text(indices):
@@ -215,11 +222,10 @@ def cmd_rank(P, args):
 
 
 def cmd_audit_endo(P, args):
-    with open(args.endo, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise MalformedPresentation(f"{args.endo}: {exc}") from exc
+    try:
+        data = json.loads(_read_text(args.endo))
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise MalformedPresentation(f"{args.endo}: {exc}") from exc
     try:
         e = EndomorphismSpec.from_json_dict(data, P)
     except (KeyError, TypeError, ValueError) as exc:

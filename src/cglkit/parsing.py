@@ -263,27 +263,22 @@ class _PolyParser(_Parser):
             return self._const(scalar**exponent)
         if exponent < 0:
             self.fail("generators only take nonnegative powers", tok)
-        result = self._const(LaurentFraction.one(self.P.space))
-        for _ in range(exponent):
-            result = self.product(result, value, tok)
-        return result
+        if exponent > 1:
+            # value^e is in PBW order when value * value is
+            self.check_order(value, value, tok)
+        return pbw.power(value, exponent, self.P)
 
     def product(self, lhs, rhs, tok):
-        if self.normalize:
-            return pbw.multiply(lhs, rhs, self.P)
-        return self._raw_mul(lhs, rhs, tok)
+        self.check_order(lhs, rhs, tok)
+        return pbw.multiply(lhs, rhs, self.P)
 
-    def _raw_mul(self, lhs, rhs, tok):
-        # multiplication without rewriting: concatenated words must already
-        # be in PBW order
-        out = {}
-        for m1, c1 in lhs.terms.items():
-            last = pbw._last_letter(m1)
-            for m2, c2 in rhs.terms.items():
-                if last > pbw._first_letter(m2):
-                    self.fail("product is out of PBW order (raw mode)", tok)
-                pbw._add_term(out, tuple(a + b for a, b in zip(m1, m2)), c1 * c2)
-        return pbw.PBWPolynomial(self.P.space, self.P.N, out)
+    def check_order(self, lhs, rhs, tok):
+        """In raw mode, refuse a product whose concatenated words leave PBW order."""
+        if self.normalize:
+            return
+        last = max(map(pbw._last_letter, lhs.terms), default=-1)
+        if last > min(map(pbw._first_letter, rhs.terms), default=self.P.N):
+            self.fail("product is out of PBW order (raw mode)", tok)
 
 
 def parse_poly(src, P, normalize=True) -> pbw.PBWPolynomial:

@@ -44,6 +44,16 @@ def _integer(value, name, nonnegative=False) -> int:
     return value
 
 
+def _string_rows(rows, name) -> list:
+    """The rows of a matrix of scalars, each entry checked to be a JSON string."""
+    rows = [list(row) for row in rows]
+    for i, row in enumerate(rows):
+        for j, value in enumerate(row):
+            if not isinstance(value, str):
+                raise MalformedPresentation(f"{name}[{i + 1}][{j + 1}] must be a string")
+    return rows
+
+
 @dataclass
 class TorusData:
     """Rational torus (K^x)^rank acting diagonally on the generators."""
@@ -58,33 +68,35 @@ class TorusData:
 class CGLPresentation:
     """Presentation of an iterated skew polynomial algebra over Q(params)."""
 
-    def __init__(self, space, N, lam, Q, torus, name=None, aliases=None, fuel_factor=8):
+    def __init__(self, space, N, lower, Q, torus, name=None, aliases=None):
+        """lambda comes from its strict lower triangle {(k, j): SignedMonomial}, k > j."""
         self.space = space
         self.N = N
-        self.lam = [list(row) for row in lam]
+        one = SignedMonomial.one(space)
+        self.lam = [[one] * N for _ in range(N)]
+        for (k, j), value in lower.items():
+            if not (0 <= j < k < N):
+                raise MalformedPresentation(f"lambda index {(k + 1, j + 1)} not strictly lower")
+            self.lam[k][j] = value
+            self.lam[j][k] = value.inverse()
         self.torus = torus
         self.name = name
         self.aliases = dict(aliases) if aliases else {}
-        self.fuel_factor = fuel_factor
+        self.fuel_factor = 8
         self.file_issues: list[str] = []
-        if len(self.lam) != N or any(len(row) != N for row in self.lam):
-            raise MalformedPresentation(f"lambda must be {N}x{N}")
-        if len(torus.chi) != N or len(torus.h) != N:
-            raise MalformedPresentation("torus chi/h must have one row per generator")
-        for row in torus.chi:
-            if len(row) != torus.rank:
-                raise MalformedPresentation("chi rows must have length torus.rank")
-        for row in torus.h:
-            if len(row) != torus.rank:
-                raise MalformedPresentation("h rows must have length torus.rank")
-        if torus.h_star is not None:
-            if len(torus.h_star) != N or any(len(r) != torus.rank for r in torus.h_star):
-                raise MalformedPresentation("h_star rows must be N x rank")
+        for family in ("chi", "h", "h_star"):
+            rows = getattr(torus, family)
+            if rows is not None and (len(rows) != N or any(len(r) != torus.rank for r in rows)):
+                raise MalformedPresentation(f"torus {family} must be N x rank")
         if torus.pi is not None and len(torus.pi) != torus.rank:
             raise MalformedPresentation("pi must have length torus.rank")
+        self._degrees = None  # the pi-degrees, when pi grades the generators positively
+        if torus.pi is not None:
+            degs = [sum(p * c for p, c in zip(torus.pi, chi)) for chi in torus.chi]
+            if all(d > 0 for d in degs):
+                self._degrees = degs
         self._set_Q(Q)
         self._lam_frac = {}
-        self._degrees = -1  # sentinel: not computed
         # built once and shared: PBW values are immutable by convention
         self.unit = LaurentFraction.one(space)
         self._generators = [
@@ -108,20 +120,6 @@ class CGLPresentation:
         self._qhat = {}
         self.pair_cache = {}
         self._y_table = None  # compute_y_elements caches its table here
-
-    # -- construction helpers --
-
-    @classmethod
-    def build(cls, space, N, lower, Q, torus, name=None, aliases=None, fuel_factor=8):
-        """Build from the strict lower triangle {(k, j): SignedMonomial}, k > j."""
-        one = SignedMonomial.one(space)
-        lam = [[one for _ in range(N)] for _ in range(N)]
-        for (k, j), value in lower.items():
-            if not (0 <= j < k < N):
-                raise MalformedPresentation(f"lambda index {(k, j)} not strictly lower")
-            lam[k][j] = value
-            lam[j][k] = value.inverse()
-        return cls(space, N, lam, Q, torus, name=name, aliases=aliases, fuel_factor=fuel_factor)
 
     # -- engine hooks --
 
@@ -148,15 +146,6 @@ class CGLPresentation:
 
     def generator_degrees(self):
         """pi-degrees of the generators, or None when no valid grading."""
-        if self._degrees == -1:
-            degs = None
-            if self.torus.pi is not None:
-                degs = [
-                    sum(p * c for p, c in zip(self.torus.pi, chi)) for chi in self.torus.chi
-                ]
-                if any(d <= 0 for d in degs):
-                    degs = None
-            self._degrees = degs
         return self._degrees
 
     # -- conveniences --
@@ -270,21 +259,21 @@ class CGLPresentation:
         return json.dumps(self.to_json_dict(), indent=2)
 
     @classmethod
-    def from_json_dict(cls, data, fuel_factor=8):
+    def from_json_dict(cls, data):
         from .parsing import parse_scalar
 
         try:
             names = tuple(data["params"])
             N = _integer(data["N"], "N", nonnegative=True)
-            lam_rows = [list(row) for row in data["lambda"]]
+            lam_rows = _string_rows(data["lambda"], "lambda")
             q_items = list(data.get("Q", {}).items())
             torus_obj = data["torus"]
             rank = _integer(torus_obj["rank"], "torus.rank", nonnegative=True)
             chi = [tuple(_integer(c, "chi entry") for c in row) for row in torus_obj["chi"]]
-            h_rows = [list(row) for row in torus_obj["h"]]
+            h_rows = _string_rows(torus_obj["h"], "torus.h")
             h_star_rows = None
             if "h_star" in torus_obj:
-                h_star_rows = [list(row) for row in torus_obj["h_star"]]
+                h_star_rows = _string_rows(torus_obj["h_star"], "torus.h_star")
             pi = None
             if "pi" in torus_obj:
                 pi = tuple(_integer(v, "pi entry") for v in torus_obj["pi"])
@@ -295,7 +284,7 @@ class CGLPresentation:
             raise MalformedPresentation(f"lambda must be {N}x{N}")
 
         def scalar_mono(text):
-            return parse_scalar(str(text), space).as_monomial()
+            return parse_scalar(text, space).as_monomial()
 
         # only the strict lower triangle is read; the rest is derived, and any
         # disagreement with the file is recorded for the validator to report
@@ -324,9 +313,7 @@ class CGLPresentation:
         torus = TorusData(rank=rank, chi=chi, h=h, h_star=h_star, pi=pi)
 
         # the Q text is parsed against the presentation it becomes part of
-        out = cls.build(
-            space, N, lower, {}, torus, name=data.get("name") or None, fuel_factor=fuel_factor
-        )
+        out = cls(space, N, lower, {}, torus, name=data.get("name") or None)
         Q = {}
         for key, text in q_items:
             try:
@@ -336,18 +323,20 @@ class CGLPresentation:
                 raise MalformedPresentation(f"bad Q key {key!r}") from exc
             if not (0 <= j < k < N):
                 raise MalformedPresentation(f"Q key {key!r} is not strictly lower")
-            Q[(k, j)] = out.parse(str(text), normalize=False)
+            if not isinstance(text, str):
+                raise MalformedPresentation(f"Q[{k + 1},{j + 1}] must be a string")
+            Q[(k, j)] = out.parse(text, normalize=False)
         out._set_Q(Q)
         out.file_issues = issues
         return out
 
     @classmethod
-    def from_json(cls, text, fuel_factor=8):
+    def from_json(cls, text):
         try:
             data = json.loads(text)
         except (json.JSONDecodeError, RecursionError) as exc:
             raise MalformedPresentation(f"invalid JSON: {exc}") from exc
-        return cls.from_json_dict(data, fuel_factor=fuel_factor)
+        return cls.from_json_dict(data)
 
 
 # -- validators --
@@ -410,28 +399,19 @@ def validate_cgl(P: CGLPresentation) -> ValidationReport:
     # axiom (ii): local nilpotency of delta_k, bounded iteration
     degs = P.generator_degrees()
     nil_fail = []
-    for k in range(P.N):
-        if not any((k, j) in P.Q for j in range(k)):
-            continue
-        for j in range(k):
-            if degs is not None:
-                cap = degs[j] // min(degs) + P.N
-            else:
-                cap = 2 * P.N + 2
-            value = P.Q.get((k, j))
-            if value is None:
-                continue
-            steps = 1
-            try:
-                while not value.is_zero and steps <= cap:
-                    if not pbw.supported_below(value, k):
-                        break
-                    value = P.delta(k, value)
-                    steps += 1
-                if not value.is_zero:
-                    nil_fail.append((k + 1, j + 1))
-            except DivergenceBudgetExceeded:
+    for (k, j), value in sorted(P.Q.items()):
+        cap = 2 * P.N + 2 if degs is None else degs[j] // min(degs) + P.N
+        steps = 1
+        try:
+            while not value.is_zero and steps <= cap:
+                if not pbw.supported_below(value, k):
+                    break
+                value = P.delta(k, value)
+                steps += 1
+            if not value.is_zero:
                 nil_fail.append((k + 1, j + 1))
+        except DivergenceBudgetExceeded:
+            nil_fail.append((k + 1, j + 1))
     report.check("axiom (ii): each delta_k locally nilpotent", nil_fail, "failing (k, j)")
 
     # consistency of the rewriting data, proved from the overlaps (see above)
@@ -629,9 +609,9 @@ def _reorder(P: CGLPresentation, tau, h, h_star, name) -> CGLPresentation:
             converted = pbw.normalize_words(P, items, order_positions=positions)
             if not converted.is_zero:
                 Q[(a, b)] = converted
-    return CGLPresentation.build(
-        P.space, N, lower, Q, torus, name=name, fuel_factor=P.fuel_factor
-    )
+    out = CGLPresentation(P.space, N, lower, Q, torus, name=name)
+    out.fuel_factor = P.fuel_factor
+    return out
 
 
 def permute_presentation(P: CGLPresentation, tau) -> CGLPresentation:

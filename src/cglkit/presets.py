@@ -49,9 +49,7 @@ def quantum_affine(N, lam="q"):
         for j in range(N)
     ]
     torus = TorusData(rank=N, chi=chi, h=h, h_star=h_star, pi=(1,) * N)
-    return CGLPresentation.build(
-        space, N, lower, {}, torus, name=f"quantum-affine:{N}:{lam_text}"
-    )
+    return CGLPresentation(space, N, lower, {}, torus, name=f"quantum-affine:{N}:{lam_text}")
 
 
 def oq_matrices(t, n):
@@ -94,9 +92,7 @@ def oq_matrices(t, n):
         h_star.append(tuple(q if (s == i or s == t + a) else one for s in range(rank)))
     torus = TorusData(rank=rank, chi=chi, h=h, h_star=h_star, pi=(1,) * t + (0,) * n)
     aliases = {f"X{i + 1}{a + 1}": i * n + a for i in range(t) for a in range(n)}
-    return CGLPresentation.build(
-        space, N, lower, Q, torus, name=f"oq-matrices:{t},{n}", aliases=aliases
-    )
+    return CGLPresentation(space, N, lower, Q, torus, name=f"oq-matrices:{t},{n}", aliases=aliases)
 
 
 def multiparam_matrices(n):
@@ -156,7 +152,7 @@ def multiparam_matrices(n):
         h_star.append(tuple(row))
     torus = TorusData(rank=rank, chi=chi, h=h, h_star=h_star, pi=(1,) * n + (0,) * n)
     aliases = {f"X{l + 1}{m + 1}": l * n + m for l in range(n) for m in range(n)}
-    return CGLPresentation.build(
+    return CGLPresentation(
         space, N, lower, Q, torus, name=f"multiparam-matrices:{n}", aliases=aliases
     )
 
@@ -185,9 +181,7 @@ def uq_plus_sl3():
         pi=(1, 1),
     )
     aliases = {"E1": 0, "E12": 1, "E2": 2}
-    return CGLPresentation.build(
-        space, 3, lower, Q, torus, name="uq-sl3", aliases=aliases
-    )
+    return CGLPresentation(space, 3, lower, Q, torus, name="uq-sl3", aliases=aliases)
 
 
 def quantum_plane_minus_one():
@@ -203,9 +197,7 @@ def quantum_plane_minus_one():
         h_star=None,
         pi=(1, 1),
     )
-    return CGLPresentation.build(
-        space, 2, {(1, 0): minus}, {}, torus, name="quantum-plane-minus-one"
-    )
+    return CGLPresentation(space, 2, {(1, 0): minus}, {}, torus, name="quantum-plane-minus-one")
 
 
 def _size(text):

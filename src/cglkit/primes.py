@@ -77,6 +77,9 @@ class YElementTable:
     qmat: list
     eta_data: EtaData
     characters: list = field(default_factory=list)
+    # facts x_i y_l = s y_l x_i proved by the recursion, {(i, l): (y_l, s)};
+    # read only when the table is P._y_table
+    ledger: dict = field(default_factory=dict, repr=False, compare=False)
 
     def finals(self):
         return self.eta_data.finals()
@@ -314,9 +317,8 @@ def compute_y_elements(P) -> YElementTable:
         qmat.append(list(alpha[k]) if p is None else list(map(mul, alpha[k], qmat[p])))
 
     table = YElementTable(
-        y=y, c=c_map, alpha=alpha, qmat=qmat, eta_data=eta_data, characters=y_chi
+        y=y, c=c_map, alpha=alpha, qmat=qmat, eta_data=eta_data, characters=y_chi, ledger=ledger
     )
-    table._ledger = ledger  # read only when the table is P._y_table
     P._y_table = table
     return table
 

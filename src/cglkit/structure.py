@@ -106,8 +106,8 @@ def verify_nakayama_by_normal_element(
     factor identity that the y-element recursion's own products proved for
     this y_l and this alpha_{k,l} is read from its ledger when T is the table
     the recursion cached on P; every other one is multiplied out.  Any other
-    k is decided on u itself, built once when first needed, so every failure
-    rests on the full product.  Separately checks the scalar identity
+    k is decided on u itself, built only when such a k is left, so every
+    failure rests on the full product.  Separately checks the scalar identity
     beta_k = prod_j lambda_kj, that is beta_k = nu_k.
     """
     if len(nu.eigenvalues) != P.N:
@@ -118,7 +118,7 @@ def verify_nakayama_by_normal_element(
     finals = T.finals()
     one = SignedMonomial.one(P.space)
     betas = [prod((T.alpha[k][l] for l in finals), start=one) for k in range(P.N)]
-    ledger = T._ledger if P._y_table is T else {}
+    ledger = T.ledger if P._y_table is T else {}
     factored = [k for k in range(P.N) if betas[k] == nu.eigenvalues[k]]
     for l in finals:
         facts = [ledger.get((k, l), (None, None)) for k in factored]
@@ -126,16 +126,15 @@ def verify_nakayama_by_normal_element(
         inverses = [row[l].inverse() for row in T.alpha]
         failed = set(_failing_normality(P, T.y[l], inverses, open_k))
         factored = [k for k in factored if k not in failed]
-    u = None
+    rest = sorted(set(range(P.N)).difference(factored))
     bad = []
-    for k in sorted(set(range(P.N)).difference(factored)):
-        x = P.x(k)
-        if u is None:
-            u = P.one()
-            for l in finals:
-                u = P.mul(u, T.y[l])
-        if P.mul(x, u) != P.mul(u, x).scale(nu.eigenvalues[k].to_fraction()):
-            bad.append(k + 1)
+    if rest:
+        u = P.one()
+        for l in finals:
+            u = P.mul(u, T.y[l])
+        # x_k u = nu_k u x_k, read as u x_k = nu_k^-1 x_k u
+        inverses = {k: nu.eigenvalues[k].inverse() for k in rest}
+        bad = [k + 1 for k in _failing_normality(P, u, inverses, rest)]
     report.check("x_k u = u nu(x_k) for every generator", bad, "failing k")
     bad_beta = [k + 1 for k in range(P.N) if betas[k] != nu.eigenvalues[k]]
     report.check("beta_k = prod_j lambda_kj for every generator", bad_beta, "failing k")

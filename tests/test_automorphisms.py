@@ -118,7 +118,7 @@ def minus_one_plane_with_h_star():
         h_star=[(q, neg), (one, q)],
         pi=(1, 1),
     )
-    return CGLPresentation.build(sp, 2, {(1, 0): neg}, {}, torus)
+    return CGLPresentation(sp, 2, {(1, 0): neg}, {}, torus)
 
 
 def test_unsaturated_commutation_group_downgrades_the_audit():

@@ -144,6 +144,80 @@ def test_json_nested_too_deeply_is_malformed(command, tmp_path, capsys):
         assert_usage_error(argv, capsys, f"{f}: ")
 
 
+@pytest.mark.parametrize("command", ["validate", "audit-endo"])
+def test_a_file_that_is_not_utf8_is_malformed(command, tmp_path, capsys):
+    f = tmp_path / "bad.json"
+    f.write_bytes(b"\xff\xfe{}")
+    argv = ["validate", str(f)]
+    if command == "audit-endo":
+        argv = ["audit-endo", str(f), "--preset", "quantum-affine:2"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {f}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+    )
+
+
+NOT_STRINGS = {"true": True, "list": [["q"]], "number": 2, "nested": "NESTED"}
+
+
+@pytest.mark.parametrize("kind", NOT_STRINGS)
+@pytest.mark.parametrize(
+    "place, message",
+    [("lambda", "lambda[2][1]"), ("h", "torus.h[1][1]"), ("Q", "Q[3,1]")],
+)
+def test_a_scalar_that_is_not_a_json_string_is_malformed(place, message, kind, tmp_path, capsys):
+    data = json.loads(parse_preset_spec("quantum-affine:3").to_json())
+    value = NOT_STRINGS[kind]
+    if place == "lambda":
+        data["lambda"][1][0] = value
+    elif place == "h":
+        data["torus"]["h"][0][0] = value
+    else:
+        data["Q"] = {"3,1": value}
+    f = tmp_path / "scalar.json"
+    # a list nested 900 deep, spliced in as text
+    f.write_text(json.dumps(data).replace('"NESTED"', "[" * 900 + '"q"' + "]" * 900))
+    assert main(["validate", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message} must be a string\n"
+
+
+@pytest.mark.parametrize(
+    "family, row",
+    [
+        ("chi", None), ("chi", 0), ("h", None), ("h", 2), ("h_star", None), ("h_star", 1),
+    ],
+)
+def test_a_torus_family_of_the_wrong_shape_is_malformed(family, row, tmp_path, capsys):
+    """row None drops the last row; otherwise that row loses its last entry."""
+    data = json.loads(parse_preset_spec("quantum-affine:3").to_json())
+    rows = data["torus"][family]
+    if row is None:
+        rows.pop()
+    else:
+        rows[row].pop()
+    f = tmp_path / "torus.json"
+    f.write_text(json.dumps(data))
+    assert main(["validate", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: torus {family} must be N x rank\n"
+
+
+def test_a_grading_of_the_wrong_length_is_malformed(tmp_path, capsys):
+    data = json.loads(parse_preset_spec("quantum-affine:3").to_json())
+    data["torus"]["pi"].append(1)
+    f = tmp_path / "pi.json"
+    f.write_text(json.dumps(data))
+    assert main(["validate", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: pi must have length torus.rank\n"
+
+
 def test_q_outside_its_subalgebra_names_1_based_indices(tmp_path, capsys):
     data = json.loads(parse_preset_spec("quantum-affine:3").to_json())
     data["Q"] = {"2,1": "x2"}
@@ -418,6 +492,21 @@ def test_audit_missing_endo_file(capsys):
 
 def test_fuel_flag_is_accepted(capsys):
     assert main(["validate", "--preset", "oq-matrices:2,2", "--fuel", "20"]) == 0
+
+
+@pytest.mark.parametrize("fuel, factor", [([], 8), (["--fuel", "3"], 3)])
+def test_fuel_flag_sets_the_factor_of_a_file_as_of_a_preset(fuel, factor, monkeypatch, capsys):
+    seen = []
+
+    def record(P, args):
+        seen.append(P.fuel_factor)
+        return 0, None
+
+    monkeypatch.setattr(cli, "cmd_validate", record)
+    source = str(FROZEN_INPUTS / "preset_uq-sl3.json")
+    assert main(["validate", source, *fuel]) == 0
+    assert main(["validate", "--preset", "uq-sl3", *fuel]) == 0
+    assert seen == [factor, factor]
 
 
 @pytest.mark.parametrize("fuel", ["-1", "0"])

@@ -232,7 +232,9 @@ def insertion_presentations(fuel_factor):
     """Builders of the broken oq 2,2 file, a permuted oq 2,3 and uq-sl3 (Q of several terms)."""
 
     def broken():
-        return CGLPresentation.from_json(BROKEN_OQ22.read_text(), fuel_factor=fuel_factor)
+        P = CGLPresentation.from_json(BROKEN_OQ22.read_text())
+        P.fuel_factor = fuel_factor
+        return P
 
     def permuted():
         P = permute_presentation(parse_preset_spec("oq-matrices:2,3"), [2, 1, 3, 0, 4, 5])

@@ -106,7 +106,7 @@ def test_malformed_inputs():
     with pytest.raises(MalformedPresentation):
         CGLPresentation.from_json_dict(bad)
     with pytest.raises(MalformedPresentation, match=r"^Q index \(3, 1\) out of range$"):
-        CGLPresentation.build(P.space, 2, {(1, 0): P.lam[1][0]}, {(2, 0): P.x(0)}, P.torus)
+        CGLPresentation(P.space, 2, {(1, 0): P.lam[1][0]}, {(2, 0): P.x(0)}, P.torus)
     bad = json.loads(P.to_json())
     bad["torus"]["chi"] = bad["torus"]["chi"][:1]
     with pytest.raises(MalformedPresentation):
@@ -162,7 +162,7 @@ def test_q_entry_must_live_below_its_row():
         h=[(q.to_fraction(), one.to_fraction())] * 2,
     )
     with pytest.raises(MalformedPresentation):
-        CGLPresentation.build(
+        CGLPresentation(
             sp,
             2,
             {(1, 0): q},
@@ -195,7 +195,7 @@ def test_is_torsionfree():
         h=[(q.to_fraction(), one.to_fraction()), (neg_q.to_fraction(), q.to_fraction())],
         pi=(1, 1),
     )
-    P = CGLPresentation.build(sp, 2, {(1, 0): neg_q}, {}, torus)
+    P = CGLPresentation(sp, 2, {(1, 0): neg_q}, {}, torus)
     assert is_torsionfree(P)
 
 
@@ -262,6 +262,19 @@ def test_reversal():
     assert Pt.Q == Pr.Q
 
 
+def test_reordered_presentations_keep_the_fuel_factor():
+    P = parse_preset_spec("oq-matrices:2,2")
+    P.fuel_factor = 3
+    assert permute_presentation(P, [1, 0, 2, 3]).fuel_factor == 3
+    assert reverse_presentation(P).fuel_factor == 3
+
+
+def test_a_lambda_index_not_strictly_lower_is_named_1_based():
+    P = parse_preset_spec("quantum-affine:2")
+    with pytest.raises(MalformedPresentation, match=r"^lambda index \(1, 2\) not strictly lower$"):
+        CGLPresentation(P.space, 2, {(0, 1): P.lam[1][0]}, {}, P.torus)
+
+
 def test_reversal_requires_support_between_endpoints():
     # Q_21 = x1 touches an endpoint, so the reversed order is not an
     # iterated Ore extension presentation
@@ -275,7 +288,7 @@ def test_reversal_requires_support_between_endpoints():
         h_star=[(q.to_fraction(), one.to_fraction()), (q.to_fraction(), q.to_fraction())],
         pi=(1, 0),
     )
-    P = CGLPresentation.build(
+    P = CGLPresentation(
         sp, 2, {(1, 0): q}, {(1, 0): PBWPolynomial(sp, 2, {(1, 0): q.to_fraction()})}, torus
     )
     with pytest.raises(NotReversible):
@@ -451,7 +464,8 @@ def test_interval_permutations_pass_both_sweeps(spec):
 def test_exhausted_overlap_reports_the_full_sweep_exception():
     data = json.loads(parse_preset_spec("quantum-affine:3").to_json())
     data["Q"] = {"2,1": "x1^2", "3,1": "x2^5"}
-    P = CGLPresentation.from_json_dict(data, fuel_factor=0)
+    P = CGLPresentation.from_json_dict(data)
+    P.fuel_factor = 0
     overlaps = [(a, b, c) for a in range(P.N) for b in range(a) for c in range(b)]
     assert _reference_consistency(P, overlaps).startswith("fuel exhausted")
     expected = _reference_check(P)

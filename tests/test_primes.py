@@ -502,7 +502,7 @@ def _two_generator_presentation(pi):
         pi=pi,
     )
     Q = {(1, 0): PBWPolynomial(sp, 2, {(1, 0): LaurentFraction.one(sp)})}
-    return CGLPresentation.build(sp, 2, {(1, 0): q.inverse()}, Q, torus)
+    return CGLPresentation(sp, 2, {(1, 0): q.inverse()}, Q, torus)
 
 
 def test_no_predecessor_solution():
@@ -520,7 +520,7 @@ def test_normal_element_off_the_target_character_is_not_a_predecessor():
     """
     P = _two_generator_presentation((1, 1))
     Q = {(1, 0): PBWPolynomial.constant(P.space, 2, 1)}
-    P = CGLPresentation.build(P.space, 2, {(1, 0): P.lam[0][1]}, Q, P.torus)
+    P = CGLPresentation(P.space, 2, {(1, 0): P.lam[0][1]}, Q, P.torus)
     c = PBWPolynomial.constant(P.space, 2, 1 / (1 - P.scalar("q")))
     y = P.mul(P.x(0), P.x(1)) - c
     for i, gamma in [(0, P.scalar("q")), (1, 1 / P.scalar("q"))]:
@@ -559,7 +559,7 @@ def test_ambiguous_predecessor_when_every_row_vanishes():
         pi=(1, 1),
     )
     lower = {(k, j): beta(chi[k], chi[j]) for k in range(3) for j in range(k)}
-    P = CGLPresentation.build(sp, 3, lower, {}, torus)
+    P = CGLPresentation(sp, 3, lower, {}, torus)
     with pytest.raises(AmbiguousPredecessor):
         primes._solve_predecessor(P, P.x(0), [0], 2, chi[1], {})
 

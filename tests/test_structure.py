@@ -334,7 +334,7 @@ def test_not_reversible_when_q_touches_an_endpoint():
         h=[(q, one), (one, q)],
         pi=(1, 0),
     )
-    P = CGLPresentation.build(
+    P = CGLPresentation(
         sp,
         2,
         {(1, 0): q},
@@ -349,7 +349,7 @@ def test_single_generator_core_and_nakayama():
     sp = ParameterSpace(("q",))
     q = SignedMonomial.parameter(sp, "q")
     torus = TorusData(rank=1, chi=[(1,)], h=[(q,)], h_star=[(q,)], pi=(1,))
-    P = CGLPresentation.build(sp, 1, {}, {}, torus)
+    P = CGLPresentation(sp, 1, {}, {}, torus)
     nu = nakayama_automorphism(P)
     assert nu.is_identity
     D = core_decomposition(P, compute_y_elements(P))
@@ -371,6 +371,12 @@ def test_core_equals_whole_algebra_when_no_generator_splits_off(spec):
     assert D.frame_lambda == []
     assert D.smash_scalars == {}
     assert D.core_report.passed
+
+
+def test_the_core_keeps_the_fuel_factor():
+    P = parse_preset_spec("oq-matrices:2,3")
+    P.fuel_factor = 3
+    assert core_decomposition(P, compute_y_elements(P)).core.fuel_factor == 3
 
 
 def test_quantum_affine_space_is_all_frame():
@@ -406,7 +412,7 @@ def central_extension_of_m22():
     torus = TorusData(
         rank=5, chi=chi, h=h, h_star=h_star, pi=(1,) + tuple(M.torus.pi)
     )
-    return M, CGLPresentation.build(sp, 5, lam, Q, torus)
+    return M, CGLPresentation(sp, 5, lam, Q, torus)
 
 
 def test_core_decomposition_with_a_proper_frame():
