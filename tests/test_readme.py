@@ -82,3 +82,25 @@ def test_one_parser_serves_every_call(capsys):
     assert captured.out == dict(COMMANDS)["cgl y-elements --preset oq-matrices:2,2"]
     assert captured.err == ""
     assert cli.build_parser() is cli.build_parser()
+
+
+def _quickstart_lines():
+    """The lines of the python block under ``## Library quickstart``."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Library quickstart", 1)[1].split("```python\n", 1)[1]
+    return block.split("\n```", 1)[0].splitlines()
+
+
+def test_library_quickstart_runs_as_commented():
+    """Each line runs in turn; a line's ``# comment`` starts with str() of its value."""
+    namespace = {}
+    checked = 0
+    for line in _quickstart_lines():
+        code, _, comment = line.partition("#")
+        if not comment:
+            exec(line, namespace)
+            continue
+        value = eval(code, namespace)
+        assert comment.strip().startswith(str(value)), line
+        checked += 1
+    assert checked == 7
