@@ -67,7 +67,7 @@ def _failing_relations(P: CGLPresentation, images):
             ):
                 continue
             lhs = P.mul(images[k], images[j])
-            rhs = P.mul(images[j], images[k]).scale(P.lam_fraction(k, j))
+            rhs = P.mul(images[j], images[k]).scale(P.lam[k][j])
             if q_poly is not None:
                 rhs = rhs + apply_endomorphism(images, q_poly, P)
             if lhs != rhs:

@@ -47,10 +47,14 @@ from .structure import (
 )
 
 
-def _presentation_args(sub):
-    sub.add_argument("input", nargs="?", help="presentation JSON file")
+def _preset_args(sub):
     sub.add_argument("--preset", help="preset spec, e.g. oq-matrices:2,3")
     sub.add_argument("--json", dest="json_out", metavar="PATH", help="write the full report as JSON")
+
+
+def _presentation_args(sub):
+    sub.add_argument("input", nargs="?", help="presentation JSON file")
+    _preset_args(sub)
     sub.add_argument("--fuel", type=_positive_int, default=None, help="rewriting fuel factor")
 
 
@@ -98,7 +102,7 @@ def build_parser():
     _presentation_args(sub)
     sub = commands.add_parser("preset", help="list or emit built-in presentations")
     sub.add_argument("action", choices=["list", "emit"])
-    _presentation_args(sub)
+    _preset_args(sub)
     return parser
 
 

@@ -308,12 +308,11 @@ def _coeff_prefix(coeff: LaurentFraction):
     return "+", f"({_poly_str(coeff.space, num)})"
 
 
-def format_poly(p, names=None, degrees=None) -> str:
+def format_poly(p, degrees=None) -> str:
     """Deterministic rendering; terms ordered by (degree, reverse-lex)."""
     if p.is_zero:
         return "0"
-    if names is None:
-        names = [f"x{i + 1}" for i in range(p.N)]
+    names = [f"x{i + 1}" for i in range(p.N)]
     if degrees is None:
         degrees = [1] * p.N
 

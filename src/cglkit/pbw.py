@@ -292,7 +292,7 @@ def normalize_words(P, items, order_positions=None, strategy="leftmost", fuel=No
             )
         u, v = word[idx], word[idx + 1]
         swapped = word[:idx] + [v, u] + word[idx + 2 :]
-        stack.append((coeff * P.lam_fraction(u, v), swapped))
+        stack.append((coeff * P.lam[u][v], swapped))
         qhat = P.qhat(u, v)
         if qhat is not None:
             head, tail = word[:idx], word[idx + 2 :]
@@ -429,7 +429,7 @@ def _insert_letter(P, m1, m2):
                         _add_term(terms, _shift(mono, high), sc * c)
             if steps > limit:
                 limit = _charge(P, m1, m2, steps)
-            coeff = coeff * P.lam_fraction(u, v)
+            coeff = coeff * P.lam[u][v]
             tail[u] += 1
     _add_term(terms, tuple(map(add, m1, m2)), coeff)
     return _store(P, m1, m2, steps, terms)
@@ -535,10 +535,10 @@ def homogeneous_character(p, P):
 
 
 def _scale_diagonally(p, values):
-    """Image of p under the diagonal map x_i -> values[i] x_i (SignedMonomials)."""
+    """Image of p under the diagonal map x_i -> values[i] x_i (monomial scalars)."""
     out = {}
     for mono, coeff in p.terms.items():
-        out[mono] = coeff * _power_product(p.space, values, mono).to_fraction()
+        out[mono] = coeff * _power_product(p.space, values, mono)
     return PBWPolynomial(p.space, p.N, out)
 
 

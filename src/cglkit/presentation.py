@@ -3,7 +3,7 @@
 A presentation holds, for generators x_1..x_N (0-based indices in code):
 
 * the multiplicatively skew-symmetric commutation matrix ``lam`` of
-  SignedMonomials (x_k x_j = lam_{kj} x_j x_k + Q_{kj} for k > j),
+  monomial scalars (x_k x_j = lam_{kj} x_j x_k + Q_{kj} for k > j),
 * the lower-order terms ``Q`` as PBW polynomials supported below k,
 * rational torus data: characters chi_i of the generators, covering torus
   elements h_k (and optionally h*_j for the reversed order), and an optional
@@ -31,7 +31,7 @@ from .errors import (
 from .lattice import integer_kernel
 from .pbw import PBWPolynomial
 from .reporting import ValidationReport
-from .scalars import LaurentFraction, ParameterSpace, SignedMonomial, _power_product
+from .scalars import LaurentFraction, ParameterSpace, _power_product
 
 _GEN_RE = re.compile(r"x([1-9][0-9]*)\Z")
 
@@ -60,7 +60,7 @@ class TorusData:
 
     rank: int
     chi: list  # N tuples of ints, length rank
-    h: list  # N tuples of SignedMonomial, length rank
+    h: list  # N tuples of monomial LaurentFractions, length rank
     h_star: list | None = None
     pi: tuple | None = None
 
@@ -69,15 +69,20 @@ class CGLPresentation:
     """Presentation of an iterated skew polynomial algebra over Q(params)."""
 
     def __init__(self, space, N, lower, Q, torus, name=None, aliases=None):
-        """lambda comes from its strict lower triangle {(k, j): SignedMonomial}, k > j."""
+        """lambda comes from its strict lower triangle {(k, j): monomial}, k > j.
+
+        Each lambda, h and h* entry must be a monomial (``as_monomial``), so
+        every product, power and inverse of them is one too.
+        """
         self.space = space
         self.N = N
-        one = SignedMonomial.one(space)
-        self.lam = [[one] * N for _ in range(N)]
+        # built once and shared: PBW values are immutable by convention
+        self.unit = LaurentFraction.one(space)
+        self.lam = [[self.unit] * N for _ in range(N)]
         for (k, j), value in lower.items():
             if not (0 <= j < k < N):
                 raise MalformedPresentation(f"lambda index {(k + 1, j + 1)} not strictly lower")
-            self.lam[k][j] = value
+            self.lam[k][j] = value.as_monomial()
             self.lam[j][k] = value.inverse()
         self.torus = torus
         self.name = name
@@ -86,8 +91,14 @@ class CGLPresentation:
         self.file_issues: list[str] = []
         for family in ("chi", "h", "h_star"):
             rows = getattr(torus, family)
-            if rows is not None and (len(rows) != N or any(len(r) != torus.rank for r in rows)):
+            if rows is None:
+                continue
+            if len(rows) != N or any(len(r) != torus.rank for r in rows):
                 raise MalformedPresentation(f"torus {family} must be N x rank")
+            if family != "chi":
+                for row in rows:
+                    for value in row:
+                        value.as_monomial()
         if torus.pi is not None and len(torus.pi) != torus.rank:
             raise MalformedPresentation("pi must have length torus.rank")
         self._degrees = None  # the pi-degrees, when pi grades the generators positively
@@ -96,9 +107,6 @@ class CGLPresentation:
             if all(d > 0 for d in degs):
                 self._degrees = degs
         self._set_Q(Q)
-        self._lam_frac = {}
-        # built once and shared: PBW values are immutable by convention
-        self.unit = LaurentFraction.one(space)
         self._generators = [
             PBWPolynomial(space, N, {tuple(int(j == i) for j in range(N)): self.unit})
             for i in range(N)
@@ -123,14 +131,6 @@ class CGLPresentation:
 
     # -- engine hooks --
 
-    def lam_fraction(self, k, j) -> LaurentFraction:
-        key = (k, j)
-        out = self._lam_frac.get(key)
-        if out is None:
-            out = self.lam[k][j].to_fraction()
-            self._lam_frac[key] = out
-        return out
-
     def qhat(self, u, v):
         """Lower-order term of x_u x_v = lam_{uv} x_v x_u + Qhat for any u != v."""
         key = (u, v)
@@ -140,7 +140,7 @@ class CGLPresentation:
             out = self.Q.get((u, v))
         else:
             base = self.Q.get((v, u))
-            out = None if base is None else base.scale(-self.lam_fraction(u, v))
+            out = None if base is None else base.scale(-self.lam[u][v])
         self._qhat[key] = out
         return out
 
@@ -162,8 +162,6 @@ class CGLPresentation:
     def scalar(self, value) -> LaurentFraction:
         if isinstance(value, LaurentFraction):
             return value
-        if isinstance(value, SignedMonomial):
-            return value.to_fraction()
         if isinstance(value, str):
             from .parsing import parse_scalar
 
@@ -181,7 +179,7 @@ class CGLPresentation:
     def format(self, p) -> str:
         from .parsing import format_poly
 
-        return format_poly(p, names=self.generator_names(), degrees=self.generator_degrees())
+        return format_poly(p, degrees=self.generator_degrees())
 
     def generator_index(self, name):
         """0-based index for 'x<k>' or a registered alias; None when unknown."""
@@ -192,9 +190,6 @@ class CGLPresentation:
                 return k - 1
             return None
         return self.aliases.get(name)
-
-    def generator_names(self):
-        return [f"x{i + 1}" for i in range(self.N)]
 
     def sigma(self, k, p) -> PBWPolynomial:
         """sigma_k = (h_k .) restricted to PBW polynomials (scales monomials)."""
@@ -263,7 +258,12 @@ class CGLPresentation:
         from .parsing import parse_scalar
 
         try:
+            if not isinstance(data["params"], list):
+                raise MalformedPresentation("params must be a list")
             names = tuple(data["params"])
+            name = data.get("name")
+            if name is not None and not isinstance(name, str):
+                raise MalformedPresentation("name must be a string")
             N = _integer(data["N"], "N", nonnegative=True)
             lam_rows = _string_rows(data["lambda"], "lambda")
             q_items = list(data.get("Q", {}).items())
@@ -293,10 +293,9 @@ class CGLPresentation:
             for j in range(k):
                 lower[(k, j)] = scalar_mono(lam_rows[k][j])
         issues = []
-        one = SignedMonomial.one(space)
         for k in range(N):
             diag = scalar_mono(lam_rows[k][k])
-            if diag != one:
+            if not diag.is_one:
                 issues.append(f"lambda[{k + 1}][{k + 1}] = {lam_rows[k][k]} is not 1")
             for j in range(k + 1, N):
                 upper = scalar_mono(lam_rows[k][j])
@@ -313,7 +312,7 @@ class CGLPresentation:
         torus = TorusData(rank=rank, chi=chi, h=h, h_star=h_star, pi=pi)
 
         # the Q text is parsed against the presentation it becomes part of
-        out = cls(space, N, lower, {}, torus, name=data.get("name") or None)
+        out = cls(space, N, lower, {}, torus, name=name or None)
         Q = {}
         for key, text in q_items:
             try:
@@ -367,10 +366,9 @@ def validate_cgl(P: CGLPresentation) -> ValidationReport:
     it reports its first five failing triples, or the exception it raises.
     """
     report = ValidationReport(subject=f"CGL axioms for {P.name or 'presentation'}")
-    one = SignedMonomial.one(P.space)
     if P.file_issues:
         report.add("lambda matrix as loaded", False, "; ".join(P.file_issues))
-    ok = all(P.lam[k][k] == one for k in range(P.N))
+    ok = all(P.lam[k][k].is_one for k in range(P.N))
     detail = "" if ok else "diagonal entries must equal 1"
     bad_skew = [
         (k + 1, j + 1)

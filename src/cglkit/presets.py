@@ -21,22 +21,18 @@ import re
 from .errors import UnknownPreset
 from .pbw import PBWPolynomial
 from .presentation import CGLPresentation, TorusData
-from .scalars import ParameterSpace, SignedMonomial
+from .scalars import LaurentFraction, ParameterSpace
 
 
 def quantum_affine(N, lam="q"):
-    """x_k x_j = lam * x_j x_k for k > j, over Q(q)."""
-    space = ParameterSpace(("q",))
-    if isinstance(lam, SignedMonomial):
-        lam_mono = lam
-        lam_text = str(lam)
-    else:
-        from .parsing import parse_scalar
+    """x_k x_j = lam * x_j x_k for k > j, over Q(q); lam is a monomial or its text."""
+    from .parsing import parse_scalar
 
-        lam_text = str(lam)
-        lam_mono = parse_scalar(lam_text, space).as_monomial()
-    q = SignedMonomial.parameter(space, "q")
-    one = SignedMonomial.one(space)
+    space = ParameterSpace(("q",))
+    lam_text = str(lam)
+    lam_mono = parse_scalar(lam_text, space).as_monomial()
+    q = LaurentFraction.parameter(space, "q")
+    one = LaurentFraction.one(space)
     lower = {(k, j): lam_mono for k in range(N) for j in range(k)}
     chi = [tuple(1 if a == i else 0 for a in range(N)) for i in range(N)]
     h = [
@@ -60,11 +56,11 @@ def oq_matrices(t, n):
     commute up to the correction -(q - q^-1) X_im X_lj; NE/SW pairs commute.
     """
     space = ParameterSpace(("q",))
-    q = SignedMonomial.parameter(space, "q")
+    q = LaurentFraction.parameter(space, "q")
     qinv = q.inverse()
-    one = SignedMonomial.one(space)
+    one = LaurentFraction.one(space)
     N = t * n
-    qq = q.to_fraction() - qinv.to_fraction()
+    qq = q - qinv
     lower = {}
     Q = {}
     for k in range(N):
@@ -105,18 +101,17 @@ def multiparam_matrices(n):
     """
     names = ["lam"] + [f"p{r}{s}" for r in range(1, n + 1) for s in range(r + 1, n + 1)]
     space = ParameterSpace(tuple(names))
-    one = SignedMonomial.one(space)
-    lam = SignedMonomial.parameter(space, "lam")
+    one = LaurentFraction.one(space)
+    lam = LaurentFraction.parameter(space, "lam")
 
     # p[r, s] = p_rs with 1-based subscripts; inverse pair below the diagonal
     p = {(r, r): one for r in range(1, n + 1)}
     for r in range(1, n + 1):
         for s in range(r + 1, n + 1):
-            p[r, s] = SignedMonomial.parameter(space, f"p{r}{s}")
+            p[r, s] = LaurentFraction.parameter(space, f"p{r}{s}")
             p[s, r] = p[r, s].inverse()
 
     N = n * n
-    lam_frac = lam.to_fraction()
     lower = {}
     Q = {}
     for k in range(N):
@@ -134,7 +129,7 @@ def multiparam_matrices(n):
                 exps = [0] * N
                 exps[ir * n + mc] += 1
                 exps[lr * n + jc] += 1
-                coeff = (lam_frac - 1) * p[lr + 1, ir + 1].to_fraction()
+                coeff = (lam - 1) * p[lr + 1, ir + 1]
                 Q[(k, jdx)] = PBWPolynomial(space, N, {tuple(exps): coeff})
     rank = 2 * n
     chi = []
@@ -168,11 +163,11 @@ def uq_plus_sl3():
     on E1, E2.
     """
     space = ParameterSpace(("q",))
-    q = SignedMonomial.parameter(space, "q")
-    one = SignedMonomial.one(space)
+    q = LaurentFraction.parameter(space, "q")
+    one = LaurentFraction.one(space)
     qinv = q.inverse()
     lower = {(1, 0): qinv, (2, 0): q, (2, 1): qinv}
-    Q = {(2, 0): PBWPolynomial(space, 3, {(0, 1, 0): -q.to_fraction()})}
+    Q = {(2, 0): PBWPolynomial(space, 3, {(0, 1, 0): -q})}
     torus = TorusData(
         rank=2,
         chi=[(2, -1), (1, 1), (-1, 2)],
@@ -187,9 +182,9 @@ def uq_plus_sl3():
 def quantum_plane_minus_one():
     """x_2 x_1 = -x_1 x_2 over Q(q); unsaturated, and no h*-data is provided."""
     space = ParameterSpace(("q",))
-    q = SignedMonomial.parameter(space, "q")
-    one = SignedMonomial.one(space)
-    minus = SignedMonomial.minus_one(space)
+    q = LaurentFraction.parameter(space, "q")
+    one = LaurentFraction.one(space)
+    minus = -one
     torus = TorusData(
         rank=2,
         chi=[(1, 0), (0, 1)],

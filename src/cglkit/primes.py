@@ -42,7 +42,7 @@ from .lattice import (
 )
 from .pbw import PBWPolynomial
 from .reporting import ValidationReport
-from .scalars import SignedMonomial, _power_product
+from .scalars import _power_product
 
 
 @dataclass
@@ -164,11 +164,11 @@ def monomials_of_degree(P, d, top=None):
 
 
 def _failing_normality(P, p, scalars, indices):
-    """Yield each i of indices, in order, with p x_i != scalars[i] x_i p, for
-    SignedMonomial scalars; each check is the two products p x_i and x_i p."""
+    """Yield each i of indices, in order, with p x_i != scalars[i] x_i p; each
+    check is the two products p x_i and x_i p."""
     for i in indices:
         x = P.x(i)
-        if P.mul(p, x) != P.mul(x, p).scale(scalars[i].to_fraction()):
+        if P.mul(p, x) != P.mul(x, p).scale(scalars[i]):
             yield i
 
 
@@ -207,14 +207,14 @@ def _solve_predecessor(P, y_j, chain_j, k, target_chi, ledger):
     Each fact x_i y_l = s y_l x_i that these products prove is kept as
     ledger[i, l] = (y_l, s): (k, j) when Delta = 0, (i, k), i <= k, for y.
     """
-    s_j = prod((P.lam[k][u] for u in chain_j), start=SignedMonomial.one(P.space))
+    s_j = prod((P.lam[k][u] for u in chain_j), start=P.unit)
     lead = P.mul(y_j, P.x(k))
     terms = {}
-    for m, coeff in (P.mul(P.x(k), y_j) - lead.scale(s_j.to_fraction())).terms.items():
+    for m, coeff in (P.mul(P.x(k), y_j) - lead.scale(s_j)).terms.items():
         mu = _power_product(P.space, P.lam[k], m)
         if mu == s_j:
             return None
-        terms[m] = coeff / (mu.to_fraction() - s_j.to_fraction())
+        terms[m] = coeff / (mu - s_j)
     if not terms:
         ledger[k, chain_j[0]] = (y_j, s_j)
         i = next((i for i in range(k) if (k, i) in P.Q), None)
@@ -255,7 +255,7 @@ def compute_y_elements(P) -> YElementTable:
     for k in range(N):
         if not any((k, j) in P.Q for j in range(k)):
             # with no Q_ki, the rewrite rule proves x_i x_k = lambda_ki^-1 x_k x_i
-            facts = [P.lam[k][i].inverse() for i in range(k)] + [SignedMonomial.one(P.space)]
+            facts = [P.lam[k][i].inverse() for i in range(k)] + [P.unit]
             ledger.update(((i, k), (P.x(k), s)) for i, s in enumerate(facts))
             y.append(P.x(k))
             y_chi.append(tuple(P.torus.chi[k]))
@@ -367,7 +367,7 @@ def verify_quantum_affine(P, T: YElementTable) -> ValidationReport:
     for k in range(P.N):
         for j in range(k):
             lhs = P.mul(T.y[k], T.y[j])
-            rhs = P.mul(T.y[j], T.y[k]).scale(T.qmat[k][j].to_fraction())
+            rhs = P.mul(T.y[j], T.y[k]).scale(T.qmat[k][j])
             if lhs != rhs:
                 bad.append((k + 1, j + 1))
     report.check("y_k y_j = q_kj y_j y_k for all pairs", bad, "failing pairs")

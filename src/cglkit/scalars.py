@@ -1,36 +1,30 @@
 """Exact scalars over the rational function field Q(q_1, ..., q_m).
 
-Two representations live here:
+``LaurentFraction`` is a quotient num/den of multivariate Laurent
+polynomials, and the package's one scalar type.  Construction folds
+single-term denominators into the numerator, cancels the multivariate
+polynomial GCD of numerator and denominator (computed over Z), and removes
+common rational content and common pure-monomial factors, so
+``(q^2 - 1)/(q - 1)`` becomes ``q + 1``.  After construction
+``len(den) == 1`` holds exactly when the value is a Laurent polynomial, and
+then ``den`` is the constant 1.  Such values take one fast path: ``+`` and
+``*`` coerce only an operand that is not a ``LaurentFraction`` on the same
+space, ``*`` returns the other operand when one side is 1 (``num == den``),
+and both build their result straight from the sparse-dict sum or product,
+with no cleaning, GCD or content work.  ``==`` compares the numerator dicts.
+A Laurent polynomial divided by a Laurent binomial is tried first by
+synthetic division along the binomial's exponent line
+(``_divide_by_binomial``), which needs no GCD; an exact quotient comes back as
+a Laurent polynomial of any size.  Every other division, and an inexact one,
+takes the general path, as do true quotients (``len(den) > 1``), except for
+unary minus, which negates the numerator of the reduced value.  The general
+path skips its GCD when len(num) * len(den) exceeds 4096, so equal quotients
+need not be identical, and ``==`` decides them by cross-multiplication.
 
-* ``LaurentFraction`` -- a quotient num/den of multivariate Laurent
-  polynomials.  Construction folds single-term denominators into the
-  numerator, cancels the multivariate polynomial GCD of numerator and
-  denominator (computed over Z), and removes common rational content and
-  common pure-monomial factors, so ``(q^2 - 1)/(q - 1)`` becomes ``q + 1``.
-  After construction ``len(den) == 1`` holds exactly when the value is a
-  Laurent polynomial, and then ``den`` is the constant 1.  Such values take
-  one fast path: ``+`` and ``*`` coerce only an operand that is not a
-  ``LaurentFraction`` on the same space, ``*`` returns the other operand
-  when one side is 1 (``num == den``), and both build their result straight
-  from the sparse-dict sum or product, with no cleaning, GCD or content work.
-  ``==`` compares the numerator dicts.  A Laurent polynomial divided by a
-  Laurent binomial is tried first by synthetic division along the binomial's
-  exponent line (``_divide_by_binomial``), which needs no GCD; an exact
-  quotient comes back as a Laurent polynomial of any size.  Every other
-  division, and an inexact one, takes the general path, as do true quotients
-  (``len(den) > 1``), except for unary minus, which negates the numerator
-  of the reduced value.  The general path skips its GCD when
-  len(num) * len(den) exceeds 4096, so equal quotients need not be
-  identical, and ``==`` decides them by cross-multiplication.
-
-* ``SignedMonomial`` -- an element of the subgroup of K^x generated by the
-  parameters together with nonzero rationals, i.e. ``c * q1^e1 * ... * qm^em``.
-  Commutation scalars and torus-element components are restricted to this
-  group so that the additive logarithm into Z/2 x Z^m exists.  Its ``coeff``
-  is always a ``Fraction``.  Only the constructor checks its arguments: group
-  operations build their valid results with ``_make``, and products and
-  ``_power_product`` skip Fraction arithmetic on the coefficients 1 and +-1
-  that every preset's scalars have.
+Commutation scalars, torus values and eigenvalues are monomials
+c * q1^e1 * ... * qm^em, one-term Laurent values, which ``as_monomial``
+checks.  On them ``monomial_log`` is the additive logarithm into Z/2 x Z^m,
+and ``_power_product`` builds prod_i b_i^(e_i) from the packed keys alone.
 
 Laurent polynomials are sparse dicts mapping one packed int key per term to a
 nonzero coefficient.  The key of q1^e1 ... qm^em is sum_i e_i * 2^(64 i)
@@ -43,8 +37,15 @@ bound before computing it.  Products and sums only add exponents, the shifts
 of ``_reduce`` subtract them, ``_divide_by_binomial`` stays within three times
 its operands' range, and the GCD divides shifted operands, whose dense
 univariate lists are as long as their degrees.  So a field would reach 2^63
-only after more than 2^32 chained products.  Only printing (``_unpacked``),
-``as_monomial`` and ``_reduce``'s lead-term sign rule unpack a key.
+only after more than 2^32 chained products.  ``_power_product`` multiplies
+keys by exponents instead, so it bounds its sum sum_i e_i * key_i from the
+exponents without unpacking a base: when each base it takes has its fields in
+[-2^30, 2^30) (one biased OR and mask over all of them) and the weight
+sum_i |e_i| is below 2^32, every field of the sum is below 2^62 in absolute
+value and reads back exactly, and the sum is kept when its own fields lie in
+[-2^30, 2^30).  Any other power product is summed field by field and packed,
+which refuses |e| >= 2^31.  Only printing (``_unpacked``), ``monomial_log``,
+``_reduce``'s lead-term sign rule and that fallback unpack a key.
 (PBW polynomials keep exponent-tuple keys.)  Coefficients have one canonical
 form: ``int`` when the coefficient is integral and ``Fraction`` otherwise,
 never ``float``.  Integer coefficients keep the inner loop of the product in
@@ -58,7 +59,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
 
 from .errors import DivisionByZero, ExponentOverflow, NotAMonomial
 
@@ -90,7 +90,12 @@ class ParameterSpace:
         for name in self.names:
             if not _NAME_RE.match(name):
                 raise ValueError(f"invalid parameter name {name!r}")
-        object.__setattr__(self, "_radix", tuple(1 << (_W * i) for i in range(len(self.names))))
+        radix = tuple(1 << (_W * i) for i in range(len(self.names)))
+        object.__setattr__(self, "_radix", radix)
+        # (key + _bias) & _high == 0 exactly when every field of key lies in
+        # [-2^30, 2^30): the biased fields are then the key's 64-bit chunks
+        object.__setattr__(self, "_bias", sum(r << 30 for r in radix))
+        object.__setattr__(self, "_high", ~sum(r * ((1 << 31) - 1) for r in radix))
 
     @property
     def m(self) -> int:
@@ -98,9 +103,6 @@ class ParameterSpace:
 
     def index(self, name: str) -> int:
         return self.names.index(name)
-
-    def zero_exps(self) -> tuple[int, ...]:
-        return (0,) * len(self.names)
 
     def pack(self, exps) -> int:
         """The int key sum_i e_i * 2^(64 i) of an exponent vector of length m."""
@@ -500,8 +502,6 @@ class LaurentFraction:
             return other
         if isinstance(other, (int, Fraction)):
             return LaurentFraction.from_rational(self.space, other)
-        if isinstance(other, SignedMonomial):
-            return other.to_fraction()
         return NotImplemented
 
     # -- arithmetic --
@@ -599,8 +599,8 @@ class LaurentFraction:
 
     # -- conversion --
 
-    def as_monomial(self) -> "SignedMonomial":
-        """Representation-level view as a signed monomial.
+    def as_monomial(self) -> "LaurentFraction":
+        """This value, checked to be a monomial c * q1^e1 * ... * qm^em with c != 0.
 
         Requires the reduced numerator to be a single term (the denominator is
         trivial after reduction in that case).  Mathematically-monomial values
@@ -608,16 +608,33 @@ class LaurentFraction:
         """
         if len(self.num) != 1 or not self.is_laurent:
             raise NotAMonomial(f"not a monomial: {self}")
-        (key, c), = self.num.items()
-        return SignedMonomial(self.space, Fraction(c), self.space.unpack(key))
+        return self
 
     def as_rational(self) -> Fraction:
         if self.is_zero:
             return Fraction(0)
-        mono = self.as_monomial()
-        if any(mono.exps):
+        ((key, c),) = self.as_monomial().num.items()
+        if key:
             raise NotAMonomial(f"not a rational constant: {self}")
-        return mono.coeff
+        return Fraction(c)
+
+    def is_root_of_unity(self) -> bool:
+        """True iff this scalar has finite multiplicative order.
+
+        In Q(q_1,...,q_m) the only roots of unity are +-1.
+        """
+        return self.is_laurent and self.num in ({0: 1}, {0: -1})
+
+    def monomial_log(self):
+        """Additive logarithm of a monomial into Z/2 x Z^m: (sign bit, exponent vector).
+
+        Requires coeff in {1, -1}; other rationals are not in the image of
+        the sign-times-monomial subgroup and raise NotAMonomial.
+        """
+        ((key, c),) = self.as_monomial().num.items()
+        if c not in (1, -1):
+            raise NotAMonomial(f"coefficient {c} is not +-1")
+        return (int(c == -1), self.space.unpack(key))
 
     # -- display --
 
@@ -671,119 +688,26 @@ def _poly_str(space, d):
     return out
 
 
-@dataclass(frozen=True, slots=True)
-class SignedMonomial:
-    """c * q1^e1 * ... * qm^em with c a nonzero rational.
+def _power_product(space, bases, exps) -> LaurentFraction:
+    """prod_i bases[i]^exps[i] for monomial bases, as one monomial.
 
-    Group operations only (these are units); ``is_root_of_unity`` and
-    ``monomial_log`` support the torsion analysis of commutation-scalar
-    subgroups of K^x.
+    The key is sum_i e_i * key_i, kept only within the bound of the module
+    docstring, and the coefficient is the product of the c_i^e_i.
     """
-
-    space: ParameterSpace
-    coeff: Fraction
-    exps: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeff", Fraction(_coeff(self.coeff)))
-        object.__setattr__(self, "exps", tuple(self.exps))
-        if self.coeff == 0:
-            raise ValueError("SignedMonomial coefficient must be nonzero")
-        if len(self.exps) != self.space.m:
-            raise ValueError("exponent tuple has wrong length")
-
-    @classmethod
-    def _make(cls, space, coeff, exps):
-        """A value from a nonzero Fraction and a tuple of the space's length, built unchecked."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "exps", exps)
-        return self
-
-    @classmethod
-    def one(cls, space):
-        return cls(space, Fraction(1), space.zero_exps())
-
-    @classmethod
-    def minus_one(cls, space):
-        return cls(space, Fraction(-1), space.zero_exps())
-
-    @classmethod
-    def parameter(cls, space, name, power=1):
-        exps = [0] * space.m
-        exps[space.index(name)] = power
-        return cls(space, Fraction(1), tuple(exps))
-
-    def __mul__(self, other):
-        if isinstance(other, SignedMonomial):
-            if other.space is not self.space and other.space != self.space:
-                raise ValueError("mixed parameter spaces")
-            a, b = self.coeff, other.coeff
-            coeff = b if a == 1 else a if b == 1 else a * b
-            return self._make(self.space, coeff, tuple(map(add, self.exps, other.exps)))
-        return NotImplemented
-
-    def inverse(self):
-        return self**-1
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int):
-            raise TypeError("exponent must be an int")
-        return self._make(self.space, self.coeff**k, tuple(e * k for e in self.exps))
-
-    @property
-    def is_one(self) -> bool:
-        return self.coeff == 1 and not any(self.exps)
-
-    def is_root_of_unity(self) -> bool:
-        """True iff this scalar has finite multiplicative order.
-
-        In Q(q_1,...,q_m) the only roots of unity are +-1, i.e. exponent
-        vector zero and coefficient in {1, -1}.
-        """
-        return not any(self.exps) and self.coeff in (1, -1)
-
-    def monomial_log(self):
-        """Additive logarithm into Z/2 x Z^m: (sign bit, exponent vector).
-
-        Requires coeff in {1, -1}; other rationals are not in the image of
-        the sign-times-monomial subgroup and raise NotAMonomial.
-        """
-        if self.coeff == 1:
-            return (0, self.exps)
-        if self.coeff == -1:
-            return (1, self.exps)
-        raise NotAMonomial(f"coefficient {self.coeff} is not +-1")
-
-    def to_fraction(self) -> LaurentFraction:
-        return LaurentFraction.from_monomial(self.space, self.coeff, self.exps)
-
-    def __str__(self):
-        return _monomial_str(self.space, self.coeff, self.exps)
-
-    def __repr__(self):
-        return f"<SignedMonomial {self}>"
-
-
-_ONE = Fraction(1)
-
-
-def _coeff_pow(c, k):
-    """c ** k for a Fraction coefficient, with Fraction arithmetic only when c is not +-1."""
-    if c == 1 or c == -1:
-        return c if k & 1 else _ONE
-    return c**k
-
-
-def _power_product(space, bases, exps) -> "SignedMonomial":
-    """prod_i bases[i]^exps[i] for SignedMonomial bases, built unchecked as one SignedMonomial."""
-    coeff = _ONE
-    total = [0] * space.m
+    key = 0
+    coeff = 1
+    seen = 0  # OR of the biased keys of the bases taken
+    weight = 0
+    bias = space._bias
     for base, e in zip(bases, exps):
         if e:
-            c = _coeff_pow(base.coeff, e)
-            coeff = c if coeff == 1 else coeff * c
-            for i, x in enumerate(base.exps):
-                total[i] += e * x
-    return SignedMonomial._make(space, coeff, tuple(total))
+            ((k, c),) = base.num.items()
+            key += e * k
+            seen |= k + bias
+            weight += e if e > 0 else -e
+            if c != 1:
+                coeff *= c**e if e > 0 else Fraction(c) ** e
+    if (seen | key + bias) & space._high or weight >> 32:
+        keys = [next(iter(base.num)) for base in bases]
+        key = space.pack([sum(e * _field(k, v) for k, e in zip(keys, exps)) for v in range(space.m)])
+    return LaurentFraction._trusted(space, {key: coeff}, {0: 1})

@@ -11,7 +11,7 @@ from .pbw import PBWPolynomial, _scale_diagonally
 from .presentation import CGLPresentation, _reorder, _require_reversible, validate_symmetric
 from .primes import YElementTable, _failing_normality, compute_P_x
 from .reporting import ValidationReport
-from .scalars import SignedMonomial, _power_product
+from .scalars import _power_product
 
 
 @dataclass
@@ -26,9 +26,7 @@ class DiagonalMap:
     def as_spec(self, P):
         from .automorphisms import EndomorphismSpec
 
-        return EndomorphismSpec(
-            [P.x(i).scale(self.eigenvalues[i].to_fraction()) for i in range(P.N)]
-        )
+        return EndomorphismSpec([P.x(i).scale(self.eigenvalues[i]) for i in range(P.N)])
 
     def inverse(self) -> "DiagonalMap":
         return DiagonalMap([v.inverse() for v in self.eigenvalues])
@@ -86,8 +84,7 @@ def nakayama_automorphism(P: CGLPresentation) -> DiagonalMap:
     relations.
     """
     _require_reversible(P)
-    one = SignedMonomial.one(P.space)
-    nu = DiagonalMap([prod(P.lam[k], start=one) for k in range(P.N)])
+    nu = DiagonalMap([prod(P.lam[k], start=P.unit) for k in range(P.N)])
     if not check_diagonal_automorphism(P, nu):
         raise InternalInconsistency("Nakayama eigenvalues fail relation preservation")
     return nu
@@ -116,8 +113,7 @@ def verify_nakayama_by_normal_element(
         raise ValueError(f"expected {P.N} y-elements, got {len(T.y)}")
     report = ValidationReport(subject=f"Nakayama via normal element for {P.name or 'presentation'}")
     finals = T.finals()
-    one = SignedMonomial.one(P.space)
-    betas = [prod((T.alpha[k][l] for l in finals), start=one) for k in range(P.N)]
+    betas = [prod((T.alpha[k][l] for l in finals), start=P.unit) for k in range(P.N)]
     ledger = T.ledger if P._y_table is T else {}
     factored = [k for k in range(P.N) if betas[k] == nu.eigenvalues[k]]
     for l in finals:

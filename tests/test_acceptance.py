@@ -29,7 +29,7 @@ from cglkit.primes import (
     rank_of,
     verify_quantum_affine,
 )
-from cglkit.scalars import LaurentFraction, SignedMonomial
+from cglkit.scalars import LaurentFraction
 from cglkit.structure import (
     core_decomposition,
     nakayama_automorphism,
@@ -109,21 +109,19 @@ def test_criterion_02_nakayama_eigenvalues():
             for k in range(P.N):
                 i, j = divmod(k, n)
                 i, j = i + 1, j + 1
-                expected = SignedMonomial.parameter(
-                    P.space, "q", power=t + n - 2 * i - 2 * j + 2
-                )
+                expected = LaurentFraction.parameter(P.space, "q") ** (t + n - 2 * i - 2 * j + 2)
                 assert nu.eigenvalues[k] == expected
         for n in range(2, 7):
             P = parse_preset_spec(f"multiparam-matrices:{n}")
             nu = nakayama_automorphism(P)
-            one = SignedMonomial.one(P.space)
-            lam = SignedMonomial.parameter(P.space, "lam")
+            one = LaurentFraction.one(P.space)
+            lam = LaurentFraction.parameter(P.space, "lam")
             # p[r][s] = p_rs from the parameter names p<r><s>, r < s; p_sr = p_rs^-1
             p = [[one] * n for _ in range(n)]
             for name in P.space.names:
                 if name.startswith("p"):
                     r, s = int(name[1]) - 1, int(name[2]) - 1
-                    p[r][s] = SignedMonomial.parameter(P.space, name)
+                    p[r][s] = LaurentFraction.parameter(P.space, name)
                     p[s][r] = p[r][s].inverse()
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
@@ -321,7 +319,7 @@ def test_criterion_10_sl3_nakayama_against_cartan_oracle():
         nu = nakayama_automorphism(P)
         exponents = a2_pairing_exponents()
         for k in range(3):
-            expected = SignedMonomial.parameter(P.space, "q", power=-exponents[k])
+            expected = LaurentFraction.parameter(P.space, "q") ** -exponents[k]
             assert nu.eigenvalues[k] == expected
 
 

@@ -24,7 +24,7 @@ from cglkit.pbw import PBWPolynomial, apply_endomorphism
 from cglkit.presentation import CGLPresentation, TorusData
 from cglkit.presets import parse_preset_spec
 from cglkit.primes import compute_y_elements, monomials_of_degree
-from cglkit.scalars import LaurentFraction, SignedMonomial
+from cglkit.scalars import LaurentFraction
 from cglkit.structure import DiagonalMap, core_decomposition, nakayama_automorphism
 
 XI_VALUES = ["1", "-1", "q", "q^-1", "2 - q"]
@@ -108,9 +108,9 @@ def minus_one_plane_with_h_star():
     from cglkit.scalars import ParameterSpace
 
     sp = ParameterSpace(("q",))
-    q = SignedMonomial.parameter(sp, "q")
-    one = SignedMonomial.one(sp)
-    neg = SignedMonomial.minus_one(sp)
+    q = LaurentFraction.parameter(sp, "q")
+    one = LaurentFraction.one(sp)
+    neg = -LaurentFraction.one(sp)
     torus = TorusData(
         rank=2,
         chi=[(1, 0), (0, 1)],
@@ -139,7 +139,7 @@ def _full_relation_failures(P, images):
     for k in range(P.N):
         for j in range(k):
             lhs = P.mul(images[k], images[j])
-            rhs = P.mul(images[j], images[k]).scale(P.lam_fraction(k, j))
+            rhs = P.mul(images[j], images[k]).scale(P.lam[k][j])
             q_poly = P.Q.get((k, j))
             if q_poly is not None:
                 rhs = rhs + apply_endomorphism(images, q_poly, P)
@@ -296,9 +296,9 @@ def test_diagonal_times_shear_splits_exactly():
     P = parse_preset_spec("quantum-affine:3")
     d = DiagonalMap(
         [
-            SignedMonomial(P.space, 2, (0,)),
-            SignedMonomial(P.space, 3, (0,)),
-            SignedMonomial.parameter(P.space, "q"),
+            LaurentFraction.from_monomial(P.space, 2, (0,)),
+            LaurentFraction.from_monomial(P.space, 3, (0,)),
+            LaurentFraction.parameter(P.space, "q"),
         ]
     ).as_spec(P)
     e = compose(P, d, shear(P, "1"))

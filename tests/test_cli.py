@@ -56,6 +56,24 @@ def test_preset_emit_requires_a_spec(capsys):
     assert main(["preset", "emit"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (["preset", "list", "junk.json"], "junk.json"),
+        (["preset", "emit", "x.json", "--preset", "uq-sl3"], "x.json"),
+        (["preset", "emit", "--preset", "uq-sl3", "--fuel", "3"], "--fuel 3"),
+    ],
+)
+def test_preset_takes_no_input_file_and_no_fuel(argv, extra, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if "error:" in line] == [
+        f"cgl: error: unrecognized arguments: {extra}"
+    ]
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("spec", ALL_PRESETS)
 def test_validate_presets(spec, capsys):
     assert main(["validate", "--preset", spec]) == 0
@@ -106,6 +124,19 @@ def test_an_exponent_past_the_limit_in_file_text_is_a_parse_error(tmp_path, caps
             "error: power 2147483648 takes an exponent out of range (|e| < 2^31)"
             " (line 1, column 2)\n  q^2147483648\n   ^\n"
         )
+
+
+@pytest.mark.parametrize("command", ["validate", "nakayama"])
+def test_a_torus_value_past_the_exponent_limit_is_refused(command, tmp_path, capsys):
+    """chi_{x_1}(h_1) = q^(2^31) is past the exponent limit, refused as a power past it is."""
+    data = json.loads(parse_preset_spec("quantum-affine:3").to_json())
+    data["torus"]["chi"][0][0] = 2**31
+    f = tmp_path / "chi.json"
+    f.write_text(json.dumps(data))
+    assert main([command, str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: exponent 2147483648 is out of range (|e| < 2^31)\n"
 
 
 def assert_usage_error(argv, capsys, message):
@@ -205,6 +236,36 @@ def test_a_torus_family_of_the_wrong_shape_is_malformed(family, row, tmp_path, c
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: torus {family} must be N x rank\n"
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("params", "qr", "params must be a list"),
+        ("params", {"q": 1, "r": 2}, "params must be a list"),
+        ("name", ["a", 1], "name must be a string"),
+        ("name", 7, "name must be a string"),
+    ],
+)
+def test_params_and_name_of_the_wrong_json_type_are_malformed(field, value, message, tmp_path, capsys):
+    data = json.loads(parse_preset_spec("quantum-affine:2").to_json())
+    data[field] = value
+    f = tmp_path / "typed.json"
+    f.write_text(json.dumps(data))
+    assert main(["validate", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("name", [None, ""])
+def test_an_empty_or_null_name_reads_as_no_name(name, tmp_path, capsys):
+    data = json.loads(parse_preset_spec("quantum-affine:2").to_json())
+    data["name"] = name
+    f = tmp_path / "unnamed.json"
+    f.write_text(json.dumps(data))
+    assert main(["validate", str(f)]) == 0
+    assert capsys.readouterr().out.startswith("PASS  CGL axioms for presentation\n")
 
 
 def test_a_grading_of_the_wrong_length_is_malformed(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import re
 from math import comb
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from cglkit.errors import (
     DivergenceBudgetExceeded,
     MalformedPresentation,
     MissingHStar,
+    NotAMonomial,
     NotInXi,
     NotReversible,
 )
@@ -29,8 +31,9 @@ from cglkit.presentation import (
     validate_cgl,
     validate_symmetric,
 )
+from cglkit.parsing import parse_scalar
 from cglkit.presets import parse_preset_spec
-from cglkit.scalars import LaurentFraction, ParameterSpace, SignedMonomial
+from cglkit.scalars import LaurentFraction, ParameterSpace
 
 ALL_PRESETS = [
     "quantum-affine:2:q",
@@ -154,21 +157,41 @@ def test_malformed_inputs():
 
 def test_q_entry_must_live_below_its_row():
     sp = ParameterSpace(("q",))
-    q = SignedMonomial.parameter(sp, "q")
-    one = SignedMonomial.one(sp)
+    q = LaurentFraction.parameter(sp, "q")
+    one = LaurentFraction.one(sp)
     torus = TorusData(
         rank=2,
         chi=[(1, 0), (0, 1)],
-        h=[(q.to_fraction(), one.to_fraction())] * 2,
+        h=[(q, one)] * 2,
     )
     with pytest.raises(MalformedPresentation):
         CGLPresentation(
             sp,
             2,
             {(1, 0): q},
-            {(1, 0): PBWPolynomial(sp, 2, {(0, 1): q.to_fraction()})},
+            {(1, 0): PBWPolynomial(sp, 2, {(0, 1): q})},
             torus,
         )
+
+
+@pytest.mark.parametrize("entry", ["lambda", "h", "h_star"])
+@pytest.mark.parametrize("text", ["q + 1", "q/(q + 1)", "0"])
+def test_a_scalar_entry_that_is_not_a_monomial_is_refused(entry, text):
+    """The constructor checks every lambda, h and h* entry, also of data built in code."""
+    sp = ParameterSpace(("q",))
+    q = LaurentFraction.parameter(sp, "q")
+    one = LaurentFraction.one(sp)
+    bad = parse_scalar(text, sp)
+    torus = TorusData(
+        rank=2,
+        chi=[(1, 0), (0, 1)],
+        h=[(q, one), (bad if entry == "h" else q, q)],
+        h_star=[(q, q), (one, bad if entry == "h_star" else q)],
+        pi=(1, 1),
+    )
+    lam = bad if entry == "lambda" else q
+    with pytest.raises(NotAMonomial, match=f"^not a monomial: {re.escape(str(bad))}$"):
+        CGLPresentation(sp, 2, {(1, 0): lam}, {}, torus)
 
 
 @pytest.mark.parametrize("spec", ALL_PRESETS + ["oq-matrices:3,3"])
@@ -186,13 +209,13 @@ def test_is_torsionfree():
     assert not is_torsionfree(parse_preset_spec("quantum-plane-minus-one"))
     # subgroup generated by -q alone is infinite cyclic, hence torsionfree
     sp = ParameterSpace(("q",))
-    neg_q = SignedMonomial(sp, -1, (1,))
-    one = SignedMonomial.one(sp)
-    q = SignedMonomial.parameter(sp, "q")
+    neg_q = LaurentFraction.from_monomial(sp, -1, (1,))
+    one = LaurentFraction.one(sp)
+    q = LaurentFraction.parameter(sp, "q")
     torus = TorusData(
         rank=2,
         chi=[(1, 0), (0, 1)],
-        h=[(q.to_fraction(), one.to_fraction()), (neg_q.to_fraction(), q.to_fraction())],
+        h=[(q, one), (neg_q, q)],
         pi=(1, 1),
     )
     P = CGLPresentation(sp, 2, {(1, 0): neg_q}, {}, torus)
@@ -279,17 +302,17 @@ def test_reversal_requires_support_between_endpoints():
     # Q_21 = x1 touches an endpoint, so the reversed order is not an
     # iterated Ore extension presentation
     sp = ParameterSpace(("q",))
-    q = SignedMonomial.parameter(sp, "q")
-    one = SignedMonomial.one(sp)
+    q = LaurentFraction.parameter(sp, "q")
+    one = LaurentFraction.one(sp)
     torus = TorusData(
         rank=2,
         chi=[(1, 0), (1, 1)],
-        h=[(q.to_fraction(), one.to_fraction()), (one.to_fraction(), q.to_fraction())],
-        h_star=[(q.to_fraction(), one.to_fraction()), (q.to_fraction(), q.to_fraction())],
+        h=[(q, one), (one, q)],
+        h_star=[(q, one), (q, q)],
         pi=(1, 0),
     )
     P = CGLPresentation(
-        sp, 2, {(1, 0): q}, {(1, 0): PBWPolynomial(sp, 2, {(1, 0): q.to_fraction()})}, torus
+        sp, 2, {(1, 0): q}, {(1, 0): PBWPolynomial(sp, 2, {(1, 0): q})}, torus
     )
     with pytest.raises(NotReversible):
         reverse_presentation(P)

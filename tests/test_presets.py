@@ -79,9 +79,9 @@ def in_serre_span(elem):
 
 def test_sl3_relations_against_free_algebra():
     P = parse_preset_spec("uq-sl3")
-    lam21 = P.lam[1][0].to_fraction()
-    lam31 = P.lam[2][0].to_fraction()
-    lam32 = P.lam[2][1].to_fraction()
+    lam21 = P.lam[1][0]
+    lam31 = P.lam[2][0]
+    lam32 = P.lam[2][1]
     q31 = P.Q[(2, 0)].terms[(0, 1, 0)]
     # x2 x1 - lam21 x1 x2 must fall into the Serre span
     r21 = w_sub(w_mul(E12, E1), w_scale(w_mul(E1, E12), lam21))
@@ -98,9 +98,9 @@ def test_sl3_relations_against_free_algebra():
 
 def test_sl3_derived_constants():
     P = parse_preset_spec("uq-sl3")
-    assert P.lam[1][0].to_fraction() == Q.inverse()
-    assert P.lam[2][0].to_fraction() == Q
-    assert P.lam[2][1].to_fraction() == Q.inverse()
+    assert P.lam[1][0] == Q.inverse()
+    assert P.lam[2][0] == Q
+    assert P.lam[2][1] == Q.inverse()
     assert list(P.Q) == [(2, 0)]
     assert P.format(P.Q[(2, 0)]) == "-q*x2"
 

@@ -30,7 +30,7 @@ from cglkit.primes import (
     torus_center_basis,
     verify_quantum_affine,
 )
-from cglkit.scalars import LaurentFraction, ParameterSpace, SignedMonomial, _power_product
+from cglkit.scalars import LaurentFraction, ParameterSpace, _power_product
 
 SYMMETRIC_PRESETS = [
     "quantum-affine:2",
@@ -213,7 +213,7 @@ def test_alpha_commutation_scalars(spec):
     for k in T.finals():
         for j in range(P.N):
             lhs = P.mul(P.x(j), T.y[k])
-            rhs = P.mul(T.y[k], P.x(j)).scale(T.alpha[j][k].to_fraction())
+            rhs = P.mul(T.y[k], P.x(j)).scale(T.alpha[j][k])
             assert lhs == rhs
 
 
@@ -245,7 +245,7 @@ def test_alpha_and_qmat_are_the_chain_products(spec, tau):
     if tau is not None:
         P = permute_presentation(P, tau)
     T = compute_y_elements(P)
-    one = SignedMonomial.one(P.space)
+    one = LaurentFraction.one(P.space)
     chains = [_chain(T, k) for k in range(P.N)]
     assert any(len(chain) > 1 for chain in chains)
     for j in range(P.N):
@@ -263,7 +263,7 @@ def brute_radical(M, box=2):
     for e in itertools.product(range(-box, box + 1), repeat=N):
         ok = True
         for j in range(N):
-            value = SignedMonomial.one(M[0][0].space)
+            value = LaurentFraction.one(M[0][0].space)
             for k in range(N):
                 value = value * M[k][j] ** e[k]
             if not value.is_one:
@@ -330,7 +330,7 @@ def test_lambda_and_qmat_saturation_verdicts_agree(spec):
 
 def test_full_radical_for_trivial_bicharacter():
     sp = ParameterSpace(("q",))
-    one = SignedMonomial.one(sp)
+    one = LaurentFraction.one(sp)
     M = [[one, one], [one, one]]
     rad = bicharacter_radical(M)
     assert rad.basis == [[1, 0], [0, 1]]
@@ -493,12 +493,12 @@ def test_greedy_factorization_rejects_non_products():
 
 def _two_generator_presentation(pi):
     sp = ParameterSpace(("q",))
-    q = SignedMonomial.parameter(sp, "q")
-    one = SignedMonomial.one(sp)
+    q = LaurentFraction.parameter(sp, "q")
+    one = LaurentFraction.one(sp)
     torus = TorusData(
         rank=2,
         chi=[(1, 0), (0, 1)],
-        h=[(q.to_fraction(), one.to_fraction()), (one.to_fraction(), q.to_fraction())],
+        h=[(q, one), (one, q)],
         pi=pi,
     )
     Q = {(1, 0): PBWPolynomial(sp, 2, {(1, 0): LaurentFraction.one(sp)})}
@@ -546,7 +546,7 @@ def test_ambiguous_predecessor_when_every_row_vanishes():
     x_0 x_2 - c normal for every t.
     """
     sp = ParameterSpace(("q",))
-    q = SignedMonomial.parameter(sp, "q")
+    q = LaurentFraction.parameter(sp, "q")
     chi = [(1, 0), (1, 1), (0, 1)]
 
     def beta(u, v):
@@ -589,7 +589,7 @@ def _full_system_solve(P, y_j, chain_j, k, target_chi):
     lhs_rows = []
     col_rows = [[] for _ in columns]
     for i in range(k + 1):
-        gamma = prod((P.lam_fraction(c, i) for c in chain), start=P.unit)
+        gamma = prod((P.lam[c][i] for c in chain), start=P.unit)
         xi = P.x(i)
         lhs_rows.append(P.mul(lead, xi) - P.mul(xi, lead).scale(gamma))
         for t, col in enumerate(columns):
@@ -724,13 +724,13 @@ def test_a_miss_is_decided_by_its_x_k_free_part(spec, monkeypatch):
         found = solve(P, y_j, chain_j, k, target_chi, ledger)
         if found is None:
             x_k = P.x(k)
-            s_j = prod((P.lam_fraction(k, u) for u in chain_j), start=P.unit)
+            s_j = prod((P.lam[k][u] for u in chain_j), start=P.unit)
             assert P.mul(x_k, y_j) == P.mul(y_j, x_k).scale(s_j)
             y = P.mul(y_j, x_k)
             for i in range(k):
                 if (k, i) not in P.Q:
                     continue
-                gamma = prod((P.lam_fraction(u, i) for u in [k] + chain_j), start=P.unit)
+                gamma = prod((P.lam[u][i] for u in [k] + chain_j), start=P.unit)
                 row = P.mul(y, P.x(i)) - P.mul(P.x(i), y).scale(gamma)
                 free = {m: c for m, c in row.terms.items() if not m[k]}
                 assert free == P.mul(y_j, P.Q[k, i]).terms != {}
@@ -763,8 +763,8 @@ def test_c_is_delta_over_s_times_lambda_minus_one(spec):
     for k, c in T.c.items():
         j = T.eta_data.pred[k]
         h_k = P.torus.h[k]
-        s_j = _power_product(P.space, h_k, T.characters[j]).to_fraction()
-        lambda_k = _power_product(P.space, h_k, P.torus.chi[k]).to_fraction()
+        s_j = _power_product(P.space, h_k, T.characters[j])
+        lambda_k = _power_product(P.space, h_k, P.torus.chi[k])
         assert c == P.delta(k, T.y[j]).scale(1 / (s_j * (lambda_k - 1))), k
 
 

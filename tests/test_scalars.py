@@ -8,7 +8,7 @@ import pytest
 from cglkit import scalars
 from cglkit.errors import DivisionByZero, ExponentOverflow, NotAMonomial, ParseError
 from cglkit.parsing import format_scalar, parse_scalar
-from cglkit.scalars import LaurentFraction, ParameterSpace, SignedMonomial
+from cglkit.scalars import LaurentFraction, ParameterSpace
 
 SP = ParameterSpace(("q",))
 SP2 = ParameterSpace(("lam", "p12"))
@@ -37,7 +37,6 @@ def test_parameter_space_lookup():
     assert SP.m == 1
     assert SP.index("q") == 0
     assert SP2.index("p12") == 1
-    assert SP.zero_exps() == (0,)
     with pytest.raises(ValueError):
         SP.index("nope")
 
@@ -131,74 +130,114 @@ def test_parse_scalar_values():
 
 
 def test_signed_monomial_group_ops():
-    q = SignedMonomial.parameter(SP, "q")
+    q = LaurentFraction.parameter(SP, "q")
     assert (q * q.inverse()).is_one
-    assert q**3 == SignedMonomial(SP, 1, (3,))
-    assert q**-2 == SignedMonomial(SP, 1, (-2,))
-    neg = SignedMonomial.minus_one(SP)
+    assert q**3 == LaurentFraction.from_monomial(SP, 1, (3,))
+    assert q**-2 == LaurentFraction.from_monomial(SP, 1, (-2,))
+    neg = -LaurentFraction.one(SP)
     assert (neg * neg).is_one
     assert str(q**-2) == "q^-2"
     assert str(neg * q) == "-q"
-    with pytest.raises(ValueError):
-        SignedMonomial(SP, 0, (0,))
+    with pytest.raises(NotAMonomial):
+        LaurentFraction.from_monomial(SP, 0, (0,)).as_monomial()
 
 
 def test_signed_monomial_operations_match_the_checking_constructor():
-    """Products, inverses and powers are built unchecked; they must equal the constructor's values."""
+    """Products, inverses, powers and power products of monomials equal the constructor's values."""
     rng = random.Random(20261019)
     coeffs = [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]
     for space in (SP, SP2):
         def rand_mono():
             exps = tuple(rng.randint(-3, 3) for _ in range(space.m))
-            return SignedMonomial(space, rng.choice(coeffs), exps)
+            coeff = rng.choice(coeffs)
+            return LaurentFraction.from_monomial(space, coeff, exps), Fraction(coeff), exps
 
         for _ in range(100):
-            a, b = rand_mono(), rand_mono()
+            (a, ac, ae), (b, bc, be) = rand_mono(), rand_mono()
             j, k = rng.randint(-3, 3), rng.randint(-3, 3)
             cases = [
-                (a * b, a.coeff * b.coeff, [x + y for x, y in zip(a.exps, b.exps)]),
-                (a.inverse(), 1 / a.coeff, [-x for x in a.exps]),
-                (a**k, a.coeff**k, [k * x for x in a.exps]),
+                (a * b, ac * bc, [x + y for x, y in zip(ae, be)]),
+                (a.inverse(), 1 / ac, [-x for x in ae]),
+                (a**k, ac**k, [k * x for x in ae]),
                 (
                     scalars._power_product(space, [a, b], [j, k]),
-                    a.coeff**j * b.coeff**k,
-                    [j * x + k * y for x, y in zip(a.exps, b.exps)],
+                    ac**j * bc**k,
+                    [j * x + k * y for x, y in zip(ae, be)],
                 ),
             ]
             for got, coeff, exps in cases:
-                want = SignedMonomial(space, coeff, exps)
-                assert got == want and hash(got) == hash(want)
-                assert type(got.coeff) is Fraction and type(got.exps) is tuple
+                want = LaurentFraction(space, {tuple(exps): coeff})
+                assert got.as_monomial() == want
+                assert got.num == want.num and got.den == want.den
+                assert all(type(c) is (int if c.denominator == 1 else Fraction) for c in got.num.values())
     # an equal space built separately multiplies; a different one raises
-    q = SignedMonomial.parameter(SP, "q")
-    assert q * SignedMonomial.parameter(ParameterSpace(("q",)), "q") == q**2
+    q = LaurentFraction.parameter(SP, "q")
+    assert q * LaurentFraction.parameter(ParameterSpace(("q",)), "q") == q**2
     with pytest.raises(ValueError):
-        q * SignedMonomial.parameter(SP2, "lam")
+        q * LaurentFraction.parameter(SP2, "lam")
     with pytest.raises(ValueError):
-        SignedMonomial.parameter(SP2, "lam") * q
+        LaurentFraction.parameter(SP2, "lam") * q
+
+
+def test_power_product_refuses_an_exponent_that_would_carry():
+    """Fields out of [-2^30, 2^30) or a weight of 2^32 take the exact path, which packs or refuses."""
+    two = ParameterSpace(("a", "b"))
+    a, b = (LaurentFraction.parameter(two, name) for name in two.names)
+    top = LaurentFraction.from_monomial(two, -1, (2**31 - 1, 0))
+    inside = LaurentFraction.from_monomial(two, 1, (2**30 - 1, 0))
+    big = LaurentFraction.from_monomial(two, 1, (2**30, 0))
+    for _ in range(32):
+        big = big * big  # a^(2^62), reached by products alone
+    refused = [
+        ([a, b], [2**64, 0]),  # the packed sum is the key of b
+        ([big, b], [4, 0]),  # the same sum from a base outside the window
+        ([inside, b], [3, 0]),  # in-window bases, a sum past pack's range
+        ([a, b], [2**32, 0]),
+        ([a, b], [2**32, -(2**32)]),
+        ([top, b], [2, 0]),
+        ([top, b], [-2, 0]),
+        ([a, top], [2**30, 1]),
+    ]
+    for bases, exps in refused:
+        with pytest.raises(ExponentOverflow):
+            scalars._power_product(two, bases, exps)
+    # exact results past the fast window but inside pack's range come back
+    cases = [
+        ([top, b], [1, 3], -1, (2**31 - 1, 3)),
+        ([top, top], [1, -1], 1, (0, 0)),
+        ([a, b], [2**30, -(2**31) + 1], 1, (2**30, -(2**31) + 1)),
+        ([a, a.inverse()], [2**32, 2**32 + 5], 1, (-5, 0)),
+    ]
+    for bases, exps, coeff, want in cases:
+        got = scalars._power_product(two, bases, exps)
+        assert got.num == {two.pack(want): coeff} and got.den == {0: 1}
 
 
 def test_root_of_unity():
-    q = SignedMonomial.parameter(SP, "q")
-    assert SignedMonomial.one(SP).is_root_of_unity()
-    assert SignedMonomial.minus_one(SP).is_root_of_unity()
+    q = LaurentFraction.parameter(SP, "q")
+    one = LaurentFraction.one(SP)
+    assert one.is_root_of_unity()
+    assert (-one).is_root_of_unity()
     assert not q.is_root_of_unity()
-    assert not (SignedMonomial.minus_one(SP) * q).is_root_of_unity()
-    assert not SignedMonomial(SP, 2, (0,)).is_root_of_unity()
+    assert not (-one * q).is_root_of_unity()
+    assert not LaurentFraction.from_rational(SP, 2).is_root_of_unity()
 
 
 def test_monomial_log():
-    q = SignedMonomial.parameter(SP, "q")
+    q = LaurentFraction.parameter(SP, "q")
     assert q.monomial_log() == (0, (1,))
-    assert (SignedMonomial.minus_one(SP) * q**-3).monomial_log() == (1, (-3,))
+    assert (-LaurentFraction.one(SP) * q**-3).monomial_log() == (1, (-3,))
     with pytest.raises(NotAMonomial):
-        SignedMonomial(SP, 2, (0,)).monomial_log()
+        LaurentFraction.from_rational(SP, 2).monomial_log()
+    with pytest.raises(NotAMonomial):
+        (q + 1).monomial_log()
 
 
 def test_as_monomial():
     q = LaurentFraction.parameter(SP, "q")
-    assert (-2 * q**2).as_monomial() == SignedMonomial(SP, -2, (2,))
-    assert (q**-1).as_monomial().to_fraction() == q**-1
+    value = -2 * q**2
+    assert value.as_monomial() is value
+    assert value == LaurentFraction.from_monomial(SP, -2, (2,))
     with pytest.raises(NotAMonomial):
         (q + 1).as_monomial()
     with pytest.raises(NotAMonomial):
@@ -334,8 +373,6 @@ def test_coefficients_are_int_or_fraction():
     with pytest.raises(TypeError):
         LaurentFraction(SP, {(0,): 0.5})
     # conversions out of the field stay Fraction
-    assert type((3 * q**2).as_monomial().coeff) is Fraction
-    assert type((half * 2 * q**-1).as_monomial().coeff) is Fraction
     assert type(LaurentFraction.from_rational(SP, 7).as_rational()) is Fraction
     assert type((half / half).as_rational()) is Fraction
     assert type(LaurentFraction.zero(SP).as_rational()) is Fraction
@@ -506,7 +543,7 @@ def test_exponents_at_the_field_limit_round_trip_or_raise(m):
     for exps in vectors:
         assert space.unpack(space.pack(exps)) == exps
         assert all(scalars._field(space.pack(exps), v) == e for v, e in enumerate(exps))
-        assert LaurentFraction.from_monomial(space, -2, exps).as_monomial().exps == exps
+        assert LaurentFraction.from_monomial(space, -1, exps).monomial_log() == (1, exps)
     for bad in (2**31, -(2**31)):
         for v in range(m):
             exps = [0] * m
@@ -518,8 +555,8 @@ def test_exponents_at_the_field_limit_round_trip_or_raise(m):
 
 
 def test_parse_scalar_refuses_an_exponent_past_the_limit():
-    assert parse_scalar("q^2147483647", SP).as_monomial().exps == (2**31 - 1,)
-    assert parse_scalar("q^-2147483647", SP).as_monomial().exps == (-(2**31) + 1,)
+    assert parse_scalar("q^2147483647", SP).monomial_log() == (0, (2**31 - 1,))
+    assert parse_scalar("q^-2147483647", SP).monomial_log() == (0, (-(2**31) + 1,))
     for text in ("q^2147483648", "q^-2147483648", "(q^2)^1073741824", "(q + 1)^4294967296"):
         with pytest.raises(ParseError):
             parse_scalar(text, SP)

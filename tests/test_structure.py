@@ -19,7 +19,7 @@ from cglkit.presentation import (
 from cglkit.presets import parse_preset_spec
 from cglkit.primes import compute_y_elements, rank_of
 from cglkit.reporting import ValidationReport
-from cglkit.scalars import ParameterSpace, SignedMonomial
+from cglkit.scalars import LaurentFraction, ParameterSpace
 from cglkit.structure import (
     DiagonalMap,
     check_diagonal_automorphism,
@@ -86,9 +86,9 @@ def test_diagonal_map_operations():
 def test_check_diagonal_automorphism():
     P = parse_preset_spec("oq-matrices:2,2")
     sp = P.space
-    one = SignedMonomial.one(sp)
-    two = SignedMonomial(sp, Fraction(2), (0,))
-    half = SignedMonomial(sp, Fraction(1, 2), (0,))
+    one = LaurentFraction.one(sp)
+    two = LaurentFraction.from_monomial(sp, Fraction(2), (0,))
+    half = LaurentFraction.from_monomial(sp, Fraction(1, 2), (0,))
     assert check_diagonal_automorphism(P, nakayama_automorphism(P))
     # mu_1 mu_4 must match mu_2 mu_3 because of the determinant correction
     assert not check_diagonal_automorphism(P, DiagonalMap([two, one, one, one]))
@@ -137,10 +137,10 @@ def full_product_nakayama_report(P, T, nu):
     bad = [
         k + 1
         for k in range(P.N)
-        if P.mul(P.x(k), u) != P.mul(u, P.x(k)).scale(nu.eigenvalues[k].to_fraction())
+        if P.mul(P.x(k), u) != P.mul(u, P.x(k)).scale(nu.eigenvalues[k])
     ]
     report.check("x_k u = u nu(x_k) for every generator", bad, "failing k")
-    one = SignedMonomial.one(P.space)
+    one = LaurentFraction.one(P.space)
     bad_beta = [
         k + 1
         for k in range(P.N)
@@ -326,8 +326,8 @@ def test_normal_element_conjugation_beyond_generators():
 
 def test_not_reversible_when_q_touches_an_endpoint():
     sp = ParameterSpace(("q",))
-    q = SignedMonomial.parameter(sp, "q")
-    one = SignedMonomial.one(sp)
+    q = LaurentFraction.parameter(sp, "q")
+    one = LaurentFraction.one(sp)
     torus = TorusData(
         rank=2,
         chi=[(1, 0), (1, 1)],
@@ -338,7 +338,7 @@ def test_not_reversible_when_q_touches_an_endpoint():
         sp,
         2,
         {(1, 0): q},
-        {(1, 0): PBWPolynomial(sp, 2, {(1, 0): q.to_fraction()})},
+        {(1, 0): PBWPolynomial(sp, 2, {(1, 0): q})},
         torus,
     )
     with pytest.raises(NotReversible):
@@ -347,7 +347,7 @@ def test_not_reversible_when_q_touches_an_endpoint():
 
 def test_single_generator_core_and_nakayama():
     sp = ParameterSpace(("q",))
-    q = SignedMonomial.parameter(sp, "q")
+    q = LaurentFraction.parameter(sp, "q")
     torus = TorusData(rank=1, chi=[(1,)], h=[(q,)], h_star=[(q,)], pi=(1,))
     P = CGLPresentation(sp, 1, {}, {}, torus)
     nu = nakayama_automorphism(P)
@@ -394,8 +394,8 @@ def central_extension_of_m22():
     """M22 shifted up one slot with a central generator x1 in front."""
     M = parse_preset_spec("oq-matrices:2,2")
     sp = M.space
-    one = SignedMonomial.one(sp)
-    q = SignedMonomial.parameter(sp, "q")
+    one = LaurentFraction.one(sp)
+    q = LaurentFraction.parameter(sp, "q")
     lam = {}
     for a in range(1, 5):
         lam[(a, 0)] = one
@@ -430,7 +430,7 @@ def test_core_decomposition_with_a_proper_frame():
     assert list(core.Q) == [(3, 0)]
     assert core.Q[(3, 0)] == M.Q[(3, 0)]
     assert D.core_report.passed
-    one = SignedMonomial.one(P.space)
+    one = LaurentFraction.one(P.space)
     assert D.frame_lambda == [[one]]
     assert D.smash_scalars == {(0, k): one for k in [1, 2, 3, 4]}
     nu = nakayama_automorphism(P)
