@@ -29,8 +29,7 @@ def quantum_affine(N, lam="q"):
     from .parsing import parse_scalar
 
     space = ParameterSpace(("q",))
-    lam_text = str(lam)
-    lam_mono = parse_scalar(lam_text, space).as_monomial()
+    lam_mono = parse_scalar(str(lam), space).as_monomial()
     q = LaurentFraction.parameter(space, "q")
     one = LaurentFraction.one(space)
     lower = {(k, j): lam_mono for k in range(N) for j in range(k)}
@@ -45,7 +44,7 @@ def quantum_affine(N, lam="q"):
         for j in range(N)
     ]
     torus = TorusData(rank=N, chi=chi, h=h, h_star=h_star, pi=(1,) * N)
-    return CGLPresentation(space, N, lower, {}, torus, name=f"quantum-affine:{N}:{lam_text}")
+    return CGLPresentation(space, N, lower, {}, torus, name=f"quantum-affine:{N}:{lam}")
 
 
 def oq_matrices(t, n):

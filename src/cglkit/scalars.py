@@ -24,7 +24,8 @@ need not be identical, and ``==`` decides them by cross-multiplication.
 Commutation scalars, torus values and eigenvalues are monomials
 c * q1^e1 * ... * qm^em, one-term Laurent values, which ``as_monomial``
 checks.  On them ``monomial_log`` is the additive logarithm into Z/2 x Z^m,
-and ``_power_product`` builds prod_i b_i^(e_i) from the packed keys alone.
+``inverse`` negates the key and inverts the coefficient, and
+``_power_product`` builds prod_i b_i^(e_i) from the packed keys alone.
 
 Laurent polynomials are sparse dicts mapping one packed int key per term to a
 nonzero coefficient.  The key of q1^e1 ... qm^em is sum_i e_i * 2^(64 i)
@@ -33,24 +34,24 @@ product's key is the sum of its factors' keys, the unit's key is 0, and with
 m = 1 the key is the exponent itself.  ``_field`` reads one coordinate, and a
 shift along q_v adds k << 64 v.  No carry between fields can pass silently:
 ``pack`` refuses |e| >= 2^31, and ``**`` refuses a power that would reach that
-bound before computing it.  Products and sums only add exponents, the shifts
-of ``_reduce`` subtract them, ``_divide_by_binomial`` stays within three times
-its operands' range, and the GCD divides shifted operands, whose dense
-univariate lists are as long as their degrees.  So a field would reach 2^63
-only after more than 2^32 chained products.  ``_power_product`` multiplies
-keys by exponents instead, so it bounds its sum sum_i e_i * key_i from the
-exponents without unpacking a base: when each base it takes has its fields in
-[-2^30, 2^30) (one biased OR and mask over all of them) and the weight
-sum_i |e_i| is below 2^32, every field of the sum is below 2^62 in absolute
-value and reads back exactly, and the sum is kept when its own fields lie in
-[-2^30, 2^30).  Any other power product is summed field by field and packed,
-which refuses |e| >= 2^31.  Only printing (``_unpacked``), ``monomial_log``,
-``_reduce``'s lead-term sign rule and that fallback unpack a key.
-(PBW polynomials keep exponent-tuple keys.)  Coefficients have one canonical
-form: ``int`` when the coefficient is integral and ``Fraction`` otherwise,
-never ``float``.  Integer coefficients keep the inner loop of the product in
-machine-size int arithmetic; every division of coefficients goes through
-``Fraction``.
+bound before computing it.  Products and sums only add exponents, monomial
+inverses negate them, ``_reduce``'s shifts subtract them,
+``_divide_by_binomial`` stays within three times its operands' range, and the
+GCD divides shifted operands, whose dense univariate lists are as long as
+their degrees.  So a field would reach 2^63 only after more than 2^32 chained
+products.  ``_power_product`` multiplies keys by exponents instead, so it
+bounds its sum sum_i e_i * key_i from the exponents without unpacking a base:
+when each base it takes has its fields in [-2^30, 2^30) (one biased OR and
+mask over all of them) and the weight sum_i |e_i| is below 2^32, every field
+of the sum is below 2^62 in absolute value and reads back exactly, and the sum
+is kept when its own fields lie in [-2^30, 2^30).  Any other power product is
+summed field by field and packed, which refuses |e| >= 2^31.  Only printing
+(``_unpacked``), ``monomial_log``, ``_reduce``'s lead-term sign rule and that
+fallback unpack a key.  (PBW polynomials keep exponent-tuple keys.)
+Coefficients have one canonical form: ``int`` when the coefficient is integral
+and ``Fraction`` otherwise, never ``float``.  Integer coefficients keep the
+inner loop of the product in machine-size int arithmetic; every division of
+coefficients goes through ``Fraction``.
 """
 
 from __future__ import annotations
@@ -572,6 +573,9 @@ class LaurentFraction:
         return LaurentFraction.from_rational(self.space, other) / self
 
     def inverse(self):
+        if len(self.num) == 1 and self.is_laurent:
+            ((key, c),) = self.num.items()
+            return LaurentFraction._trusted(self.space, {-key: _div(1, c)}, self.den)
         return 1 / self
 
     def __pow__(self, k: int):
